@@ -4,7 +4,8 @@ package repro_test
 // micro-benchmarks for the substrates and ablations for the design
 // choices called out in DESIGN.md. Reported custom metrics carry the
 // reproduced quantities (ratios, periods, throughputs) so that a bench
-// run doubles as an experiment log; see EXPERIMENTS.md.
+// run doubles as an experiment log; DESIGN.md Section 8 describes the
+// metrics and the BENCH_sweep.json trajectory they feed.
 
 import (
 	"bytes"

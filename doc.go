@@ -28,10 +28,12 @@
 //	internal/prefix    pipelined parallel prefix and the Theorem 5
 //	                   reduction
 //	internal/exp       the Figure 11 experiment harness: a concurrent
-//	                   sweep engine (task generator, worker pool,
+//	                   sweep engine (task generator, ordered fan-out,
 //	                   order-independent aggregator) with deterministic
 //	                   per-task seeding, so a sweep's cells are
 //	                   bit-identical for any worker count
+//	internal/fanout    the ordered fan-out behind the sweep, the batch
+//	                   endpoint and the what-if scenario loop
 //	internal/serve     the mcastd planning daemon: platform registry,
 //	                   LRU plan cache, singleflight coalescing and a
 //	                   sharded evaluator pool behind an HTTP/JSON API,

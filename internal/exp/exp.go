@@ -17,13 +17,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/heur"
 	"repro/internal/steady"
 	"repro/internal/tiers"
@@ -57,10 +57,11 @@ type Config struct {
 	// Workers is the number of concurrent sweep workers; values < 1
 	// mean runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, receives one line per completed
-	// (platform, density) task. Lines arrive in completion order, but
-	// all writes happen from a single collector goroutine, so the
-	// writer needs no locking of its own.
+	// Progress, when non-nil, receives one line per (platform, density)
+	// task. Lines arrive in task order, each as soon as its task and
+	// every earlier one have finished (at Workers 1 that is completion
+	// order), and all writes happen on the goroutine that called Sweep,
+	// so the writer needs no locking of its own.
 	Progress io.Writer
 }
 
@@ -157,7 +158,7 @@ func Run(cfg Config) ([]Cell, error) {
 	return Aggregate(results), Errors(results)
 }
 
-// Sweep executes the task grid on the worker pool and returns one
+// Sweep executes the task grid on cfg.Workers workers and returns one
 // TaskResult per (platform, density) in task order (platform-major),
 // independent of worker count and completion order. Per-task failures
 // are reported in TaskResult.Err; only configuration-level failures
@@ -193,65 +194,38 @@ func Sweep(cfg Config) ([]TaskResult, error) {
 		}
 	}
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-
 	results := make([]TaskResult, len(tasks))
-	todo := make(chan int)
-	done := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch: one evaluator — and, when the caller
-			// did not supply heuristics, one registry bound to it — is
-			// reused for every task this worker runs. Reset() between
-			// tasks restores the fresh-evaluator semantics bit for bit
-			// (see steady.Evaluator.Reset) while keeping the LP
-			// workspace, flow solver and buffer allocations, so a sweep
-			// stops paying a full evaluator allocation per grid point.
-			ev := steady.NewEvaluator()
-			hs := heuristics
-			if hs == nil {
-				hs = heur.AllWith(ev)
-			}
-			for i := range todo {
-				t := tasks[i]
-				rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, t.Platform, t.DensityIndex)))
-				ev.Reset()
-				results[i] = runTask(platforms[t.Platform], t, hs, rng, ev)
-				done <- i
-			}
-		}()
-	}
-	go func() {
-		for i := range tasks {
-			todo <- i
+	fanout.Ordered(len(tasks), cfg.Workers, func(_ int, claim iter.Seq[int]) {
+		// Per-worker scratch: one evaluator — and, when the caller did
+		// not supply heuristics, one registry bound to it — is reused
+		// for every task this worker runs. Reset() between tasks
+		// restores the fresh-evaluator semantics bit for bit (see
+		// steady.Evaluator.Reset) while keeping the LP workspace, flow
+		// solver and buffer allocations, so a sweep stops paying a full
+		// evaluator allocation per grid point.
+		ev := steady.NewEvaluator()
+		hs := heuristics
+		if hs == nil {
+			hs = heur.AllWith(ev)
 		}
-		close(todo)
-		wg.Wait()
-		close(done)
-	}()
-	// The collector is the sole writer to Progress, which makes the
-	// sink safe without any synchronisation on the caller's side.
-	for i := range done {
+		for i := range claim {
+			t := tasks[i]
+			rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, t.Platform, t.DensityIndex)))
+			ev.Reset()
+			results[i] = runTask(platforms[t.Platform], t, hs, rng, ev)
+		}
+	}, func(i int) {
 		if cfg.Progress == nil {
-			continue
+			return
 		}
 		r := results[i]
 		if r.Err != nil {
 			fmt.Fprintf(cfg.Progress, "platform %d density %.2f: error: %v\n", r.Platform, r.Density, r.Err)
-			continue
+			return
 		}
 		fmt.Fprintf(cfg.Progress, "platform %d density %.2f: |T|=%d scatter=%.1f lb=%.1f\n",
 			r.Platform, r.Density, r.Targets, r.Scatter, r.LB)
-	}
+	})
 	return results, nil
 }
 

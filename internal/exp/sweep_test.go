@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -216,5 +217,33 @@ func TestCellsJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeCells(strings.NewReader(`[{"density": 1, "bogus": 2}]`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// TestBigDenseTaskConverges replays the Figure 11 grid point that
+// `cmd/experiments -size big -platforms 1 -seed 2` used to drop: on
+// that platform at density 0.60 (28 targets, in the cutting-plane
+// regime) Multicast-LB still adds a cut or two per round when it hits
+// its round cap. The bound must then come from the direct form instead
+// of failing the task.
+func TestBigDenseTaskConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the Multicast-LB cutting plane to its round cap")
+	}
+	platform, err := generate("big", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := Task{Platform: 0, DensityIndex: 3, Density: 0.6}
+	rng := rand.New(rand.NewSource(taskSeed(2, task.Platform, task.DensityIndex)))
+	r := runTask(platform, task, []heur.Heuristic{}, rng, steady.NewEvaluator())
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r.Targets != 28 {
+		t.Fatalf("drew %d targets, want the 28 of the recorded instance", r.Targets)
+	}
+	if bc := r.Periods[SeriesBroadcast]; !(r.LB > 0 && r.LB <= r.Scatter && r.LB <= bc) {
+		t.Errorf("lower bound %v out of order with scatter %v and broadcast %v", r.LB, r.Scatter, bc)
 	}
 }

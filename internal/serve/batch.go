@@ -3,12 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"iter"
 	"net/http"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/faultinject"
-	"repro/internal/steady"
+	"repro/internal/fanout"
 )
 
 // BatchRequest is the body of POST /v1/plan:batch and POST /v1/jobs: a
@@ -92,125 +90,53 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) (*BatchRequ
 	return &req, nil
 }
 
-// planItem answers one effective spec through the full serving stack —
-// registry resolution, plan cache, coalescer — computing, when it must,
-// on the pinned shard lane instead of the key-routed shard. Identical
-// items therefore hit the same cache entries and coalesce into the
-// same flights as interactive /v1/plan traffic. ctx aborts items that
-// have not computed yet; an abandoned flight leadership propagates
-// ctx's error, which coalesced followers do NOT inherit (they re-run;
-// see flightGroup.do).
-func (s *Server) planItem(ctx context.Context, lane int, spec *PlanSpec, noCache bool) (*PlanResponse, error) {
-	res, err := s.resolve(spec)
-	if err != nil {
-		return nil, err
-	}
-	key := res.key()
-	compute := func() (resp *PlanResponse, err error) {
-		// Guard the whole leadership, hooks included — see planResolved's
-		// compute for why a leader must never panic through flight.do.
-		defer disarmPanic(&err)
-		if hook := s.batchItemHook; hook != nil {
-			hook()
-		}
-		if err := faultinject.SolveEnter(ctx); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.pool.runOnEv(lane, func(ev *steady.Evaluator) (err error) {
-			defer disarmPanic(&err)
-			defer armStop(ctx, ev)()
-			resp, err = executeResolved(ev, res)
-			return err
-		}); err != nil {
-			return nil, ctxSolveErr(ctx, err)
-		}
-		s.cache.put(key, resp)
-		return resp, nil
-	}
-	if noCache {
-		return compute()
-	}
-	if resp, ok := s.cache.get(key); ok {
-		return resp, nil
-	}
-	resp, err, _ := s.flight.do(key, compute)
-	return resp, err
-}
-
 // runBatch executes a batch over the shard lanes and emits the full
 // NDJSON line sequence (plan lines in submission order, then the
 // summary) through emit. It returns the number of item errors.
 //
-// The fan-out mirrors the what-if engine: min(shards, items) workers
-// claim items from an atomic cursor and park each result in a reorder
-// buffer, which releases line i once items 0..i have all landed — the
-// stream order is the submission order whatever the completion order.
-// Workers only hold a shard mutex while actually solving (inside
-// planItem's compute), so batch items coalesce safely with interactive
-// traffic in either direction.
+// min(shards, items) workers claim items through fanout.Ordered, each
+// pinned to one lane, and line i is emitted once items 0..i have all
+// landed — the stream order is the submission order whatever the
+// completion order. Every item goes through the full serving stack
+// (registry resolution, plan cache, coalescer), so identical items hit
+// the same cache entries and join the same flights as interactive
+// /v1/plan traffic; workers only hold a shard mutex while actually
+// solving, so batch items coalesce safely with interactive traffic in
+// either direction.
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest, emit func(BatchLine)) int {
 	n := len(req.Items)
-	specs := make([]*PlanSpec, n)
-	for i := range req.Items {
-		specs[i] = req.PlanSpec.merged(&req.Items[i].PlanSpec)
-	}
-
 	type itemResult struct {
 		resp *PlanResponse
 		err  error
 	}
 	results := make([]itemResult, n)
-	ready := make(chan int, n)
-	var next atomic.Int64
-	workers := len(s.pool.shards)
-	if workers > n {
-		workers = n
-	}
 	startLane := int(s.batchLane.Add(1)-1) % len(s.pool.shards)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = itemResult{err: err}
-				} else {
-					resp, err := s.planItem(ctx, lane, specs[i], req.NoCache)
-					results[i] = itemResult{resp: resp, err: err}
-				}
-				ready <- i
-			}
-		}((startLane + w) % len(s.pool.shards))
-	}
-
-	// Reorder buffer: emit item i once it and every predecessor landed.
 	itemErrors := 0
-	done := make([]bool, n)
-	emitted := 0
-	for emitted < n {
-		done[<-ready] = true
-		for emitted < n && done[emitted] {
-			line := BatchLine{Kind: "plan", Index: emitted}
-			if r := results[emitted]; r.err != nil {
-				_, body := errorBody(r.err)
-				line.Error = &body
-				itemErrors++
-			} else {
-				line.Plan = r.resp
+	fanout.Ordered(n, len(s.pool.shards), func(w int, claim iter.Seq[int]) {
+		lane := (startLane + w) % len(s.pool.shards)
+		for i := range claim {
+			r := &results[i]
+			if r.err = ctx.Err(); r.err != nil {
+				continue
 			}
-			emit(line)
-			emitted++
+			res, err := s.resolve(req.PlanSpec.merged(&req.Items[i].PlanSpec))
+			if err != nil {
+				r.err = err
+				continue
+			}
+			r.resp, _, _, r.err = s.planResolved(ctx, res, lane, req.NoCache, false)
 		}
-	}
-	wg.Wait()
+	}, func(i int) {
+		line := BatchLine{Kind: "plan", Index: i}
+		if err := results[i].err; err != nil {
+			_, body := errorBody(err)
+			line.Error = &body
+			itemErrors++
+		} else {
+			line.Plan = results[i].resp
+		}
+		emit(line)
+	})
 	emit(BatchLine{Kind: "summary", Items: n, ErrorCount: itemErrors})
 
 	s.mu.Lock()

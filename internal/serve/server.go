@@ -155,9 +155,10 @@ type Server struct {
 	batchLane atomic.Int64
 
 	// batchItemHook, when set, runs inside every batch item's flight
-	// leadership, before the item acquires its shard lane. Tests use it
-	// to gate batch compute mid-flight (cancellation and coalescing
-	// regressions); nil in production.
+	// leadership (planResolved with a pinned lane), before the item
+	// acquires its shard lane. Tests use it to gate batch compute
+	// mid-flight (cancellation and coalescing regressions); nil in
+	// production.
 	batchItemHook func()
 
 	mu        sync.Mutex
@@ -482,7 +483,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	resp, how, shardIdx, err := s.planResolved(ctx, res, req.NoCache, req.Degraded)
+	resp, how, shardIdx, err := s.planResolved(ctx, res, -1, req.NoCache, req.Degraded)
 	if err != nil {
 		s.countDeadline(err)
 		writeError(w, err)
@@ -539,13 +540,22 @@ func (s *Server) Plan(req *PlanRequest) (*PlanResponse, string, int, error) {
 	}
 	ctx, cancel := s.requestContext(context.Background(), req.TimeoutMillis)
 	defer cancel()
-	return s.planResolved(ctx, res, req.NoCache, req.Degraded)
+	return s.planResolved(ctx, res, -1, req.NoCache, req.Degraded)
 }
 
 // planResolved executes an already-resolved spec through the cache,
-// coalescer and shard pool — the shared back half of handlePlan, Plan
-// and the subscription loops (which resolve per version themselves to
-// stamp responses with the version they computed against).
+// coalescer and shard pool — the shared back half of handlePlan, Plan,
+// the subscription loops (which resolve per version themselves to
+// stamp responses with the version they computed against) and the
+// batch items.
+//
+// lane -1 routes the compute by key hash and takes an admission slot
+// for it. A batch worker passes its lane (>= 0) instead: the compute
+// is pinned there and takes no admission slot, because the batch
+// already holds the one slot covering its whole fan-out, and per-item
+// admission would deadlock on the lanes the batch occupies. The lane
+// choice never changes a byte (every lane's evaluator is Reset before
+// use), only which lane's lock the work queues on.
 //
 // ctx bounds the compute: its cancellation is armed as the evaluator's
 // stop flag while the shard solves, so a deadline stops the simplex
@@ -561,7 +571,7 @@ func (s *Server) Plan(req *PlanRequest) (*PlanResponse, string, int, error) {
 // Degraded answers are never cached and never coalesced: the tree
 // fallback's body is NOT the requested plan's body, and must never be
 // served to a caller that did not opt in.
-func (s *Server) planResolved(ctx context.Context, res *resolved, noCache, degraded bool) (*PlanResponse, string, int, error) {
+func (s *Server) planResolved(ctx context.Context, res *resolved, lane int, noCache, degraded bool) (*PlanResponse, string, int, error) {
 	key := res.key()
 	// execIdx records the shard this call computed on; it stays -1 for
 	// cache hits and coalesced followers (whose leader has its own
@@ -572,11 +582,17 @@ func (s *Server) planResolved(ctx context.Context, res *resolved, noCache, degra
 		// flight leader wakes its followers with a nil response AND a nil
 		// error, which would serve as an empty 200.
 		defer disarmPanic(&err)
-		if s.limit != nil {
-			if err := s.limit.acquire(ctx); err != nil {
-				return nil, err
+		idx := lane
+		if idx < 0 {
+			if s.limit != nil {
+				if err := s.limit.acquire(ctx); err != nil {
+					return nil, err
+				}
+				defer s.limit.release()
 			}
-			defer s.limit.release()
+			idx = s.pool.route(key)
+		} else if hook := s.batchItemHook; hook != nil {
+			hook()
 		}
 		if err := faultinject.SolveEnter(ctx); err != nil {
 			return nil, err
@@ -584,13 +600,12 @@ func (s *Server) planResolved(ctx context.Context, res *resolved, noCache, degra
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		idx, err := s.pool.run(key, func(ev *steady.Evaluator) (err error) {
+		if err := s.pool.runOnEv(idx, func(ev *steady.Evaluator) (err error) {
 			defer disarmPanic(&err)
 			defer armStop(ctx, ev)()
 			resp, err = executeResolved(ev, res)
 			return err
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, ctxSolveErr(ctx, err)
 		}
 		execIdx = idx

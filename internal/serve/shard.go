@@ -36,12 +36,10 @@ func newShardPool(n int) *shardPool {
 	return p
 }
 
-// run executes fn on the shard selected by key, serialised with every
-// other request on that shard, with a freshly Reset evaluator. It
-// returns the shard index for the response metadata.
-func (p *shardPool) run(key planKey, fn func(ev *steady.Evaluator) error) (int, error) {
-	idx := int(key.routeHash() % uint64(len(p.shards)))
-	return idx, p.runOnEv(idx, fn)
+// route is the shard a plan key computes on, unless a batch pins its
+// items to a lane.
+func (p *shardPool) route(key planKey) int {
+	return int(key.routeHash() % uint64(len(p.shards)))
 }
 
 // runOnEv executes fn on shard idx's freshly Reset evaluator,

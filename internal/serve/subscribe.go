@@ -184,7 +184,7 @@ func (s *Server) liveCompute(spec PlanSpec) live.Compute {
 		// error line for the version, and the next mutation retries.
 		ctx, cancel := s.requestContext(context.Background(), 0)
 		defer cancel()
-		resp, _, _, err := s.planResolved(ctx, res, false, false)
+		resp, _, _, err := s.planResolved(ctx, res, -1, false, false)
 		if err != nil {
 			return res.version, nil, err
 		}

@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -278,14 +275,14 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		defer s.limit.release()
 	}
 	p := res.p
-	key := res.key()
 	var base *whatif.Baseline
 	if err := faultinject.SolveEnter(ctx); err != nil {
 		s.countDeadline(err)
 		writeError(w, err)
 		return
 	}
-	if _, err := s.pool.run(key, func(ev *steady.Evaluator) (err error) {
+	startShard := s.pool.route(res.key())
+	if err := s.pool.runOnEv(startShard, func(ev *steady.Evaluator) (err error) {
 		defer disarmPanic(&err)
 		defer armStop(ctx, ev)()
 		base, err = whatif.NewBaseline(ev, p)
@@ -310,83 +307,19 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	emit(whatifBaselineLine(res.id, res.fp, base, len(scenarios)))
 
 	// Fan the scenarios over the shard lanes, starting at the shard the
-	// baseline routed to. Every scenario runs on its own clone of the
-	// baseline evaluator over a worker-private platform copy, so the
-	// results — and therefore the streamed bytes — cannot depend on
-	// scheduling. If the client hangs up mid-stream the remaining
-	// scenarios are drained as canceled instead of solved, so a dead
-	// request does not hold the shard lanes against live plan traffic
-	// (cancellation never changes the bytes of a body that is actually
-	// delivered — a canceled request has no reader).
-	// One request-level stop flag, armed on the deadline-bounded ctx and
-	// shared by every worker's evaluator clones, stops scenario solves
-	// mid-iteration when the budget expires (the ctx.Err check below
-	// only catches scenarios that have not started).
-	var stop atomic.Bool
-	defer context.AfterFunc(ctx, func() { stop.Store(true) })()
-	results := make([]whatif.Result, len(scenarios))
-	ready := make(chan int, len(scenarios))
-	var (
-		next       atomic.Int64
-		statsMu    sync.Mutex
-		scenStats  steady.SolveStats
-		fastScen   int
-		wg         sync.WaitGroup
-		startShard = int(key.routeHash() % uint64(len(s.pool.shards)))
-	)
-	workers := len(s.pool.shards)
-	if workers > len(scenarios) {
-		workers = len(scenarios)
+	// baseline routed to. The streamed bytes cannot depend on scheduling
+	// (see whatif.Stream). If the client hangs up or the budget expires
+	// mid-stream, the remaining scenarios drain as errors instead of
+	// solving, so a dead request does not hold the shard lanes against
+	// live plan traffic (cancellation never changes the bytes of a body
+	// that is actually delivered — a canceled request has no reader).
+	cfg.Workers = len(s.pool.shards)
+	onLane := func(worker int, loop func()) {
+		s.pool.runOn((startShard+worker)%len(s.pool.shards), loop)
 	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(shardIdx int) {
-			defer wg.Done()
-			s.pool.runOn(shardIdx, func() {
-				g := res.g.Clone()
-				var local steady.SolveStats
-				localFast := 0
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(scenarios) {
-						break
-					}
-					if err := ctx.Err(); err != nil {
-						results[i] = whatif.Result{Scenario: scenarios[i], Err: err}
-						ready <- i
-						continue
-					}
-					sev := base.Ev.Clone()
-					sev.SetStop(&stop)
-					results[i] = whatif.Eval(base, sev, g, scenarios[i])
-					// The clone is scenario-private, so a nonzero hit count
-					// attributes the fast path to exactly this scenario.
-					if sev.Stats().FastPathHits > 0 {
-						localFast++
-					}
-					local.Add(sev.Stats())
-					ready <- i
-				}
-				statsMu.Lock()
-				scenStats.Add(local)
-				fastScen += localFast
-				statsMu.Unlock()
-			})
-		}((startShard + i) % len(s.pool.shards))
-	}
-
-	// Stream in order: emit scenario i once it and every predecessor
-	// have landed.
-	done := make([]bool, len(scenarios))
-	emitted := 0
-	for emitted < len(scenarios) {
-		done[<-ready] = true
-		for emitted < len(scenarios) && done[emitted] {
-			emit(whatifScenarioLine(res.g, results[emitted]))
-			emitted++
-		}
-	}
-	wg.Wait()
+	results, scenStats, fastScen := whatif.Stream(ctx, base, scenarios, cfg, onLane, func(r whatif.Result) {
+		emit(whatifScenarioLine(res.g, r))
+	})
 
 	rep := whatif.BuildReport(base, scenarios, results)
 	rep.FastPathScenarios = fastScen

@@ -426,7 +426,21 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 	const maxRounds = 500
 	for round := 0; ; round++ {
 		if round >= maxRounds {
-			return nil, errors.New("steady: MulticastLB cutting plane did not converge")
+			// Kelley's cutting plane can tail off on a large dense
+			// instance, still adding a cut or two per round with rho
+			// falling. The direct form is exact at any size, so hand
+			// the instance over to it; the cut work done so far stays
+			// on the bound's counters.
+			direct, err := multicastLBDirect(p, ws, sc, opts.NoPresolve)
+			if err != nil {
+				return nil, err
+			}
+			direct.Rounds += bound.Rounds
+			direct.Cuts = ncuts
+			direct.Solves += bound.Solves
+			direct.Iterations += bound.Iterations
+			direct.WarmSolves += bound.WarmSolves
+			return direct, nil
 		}
 		var sol *lp.Solution
 		var err error

@@ -21,13 +21,14 @@
 package whatif
 
 import (
+	"context"
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/heur"
 	"repro/internal/steady"
@@ -114,13 +115,6 @@ type Config struct {
 // failure, and every source promotion.
 func DefaultConfig() Config {
 	return Config{NodeFailures: true, EdgeFactors: []float64{0}, AllSources: true}
-}
-
-func (c Config) workers() int {
-	if c.Workers < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }
 
 // Baseline is the unperturbed reference every scenario is compared
@@ -445,57 +439,75 @@ func Analyze(p steady.Problem, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// Run evaluates the scenarios against the baseline on cfg.workers()
+// Run evaluates the scenarios against the baseline on cfg.Workers
 // concurrent workers and returns the index-aligned results, the
 // aggregated scenario solver statistics, and the number of scenarios
-// answered (at least partly) through the tree fast path. Each scenario
-// gets a fresh clone of base.Ev (or a fresh evaluator when cfg.Cold)
-// and each worker a private platform copy, so the results are
-// independent of scheduling.
+// answered (at least partly) through the tree fast path. It is Stream
+// without a deadline, lanes or emit.
 func Run(base *Baseline, scenarios []Scenario, cfg Config) ([]Result, steady.SolveStats, int) {
+	return Stream(context.Background(), base, scenarios, cfg, nil, nil)
+}
+
+// Stream is the scenario loop behind Run, Analyze and the serving
+// layer's /v1/whatif endpoint. Each scenario gets a fresh clone of
+// base.Ev (or a fresh evaluator when cfg.Cold) and each worker a
+// private platform copy, so the results are independent of scheduling.
+// It returns what Run returns.
+//
+// lane, when non-nil, wraps each worker's whole loop and must call loop
+// exactly once: the serving layer runs worker w under a shard lane's
+// lock, so scenario work and plan requests share one concurrency
+// budget. emit, when non-nil, receives the results in scenario order,
+// each as soon as it and every earlier one are done.
+//
+// When ctx ends, running solves stop mid-iteration and the scenarios
+// not yet started drain without solving, as Results carrying ctx's
+// error, so an abandoned analysis releases its lanes promptly.
+func Stream(ctx context.Context, base *Baseline, scenarios []Scenario, cfg Config, lane func(w int, loop func()), emit func(Result)) ([]Result, steady.SolveStats, int) {
+	if lane == nil {
+		lane = func(_ int, loop func()) { loop() }
+	}
+	// One stop flag, shared by every scenario's evaluator, aborts the
+	// solves in flight when ctx ends (ctx.Err below only catches the
+	// scenarios that have not started).
+	var stop atomic.Bool
+	defer context.AfterFunc(ctx, func() { stop.Store(true) })()
 	results := make([]Result, len(scenarios))
+	effort := make([]steady.SolveStats, len(scenarios))
 	var (
-		next  atomic.Int64
-		mu    sync.Mutex
 		stats steady.SolveStats
 		fast  int
-		wg    sync.WaitGroup
 	)
-	workers := cfg.workers()
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	fanout.Ordered(len(scenarios), cfg.Workers, func(w int, claim iter.Seq[int]) {
+		lane(w, func() {
 			g := base.Problem.G.Clone()
-			var local steady.SolveStats
-			localFast := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
-					break
+			for i := range claim {
+				if err := ctx.Err(); err != nil {
+					results[i] = Result{Scenario: scenarios[i], Err: err}
+					continue
 				}
-				sev := steady.NewEvaluator()
-				if !cfg.Cold {
+				var sev *steady.Evaluator
+				if cfg.Cold {
+					sev = steady.NewEvaluator()
+				} else {
 					sev = base.Ev.Clone()
 				}
+				sev.SetStop(&stop)
 				results[i] = Eval(base, sev, g, scenarios[i])
-				// The clone is private to this scenario, so its counters
-				// attribute exactly one evaluation.
-				if sev.Stats().FastPathHits > 0 {
-					localFast++
-				}
-				local.Add(sev.Stats())
+				effort[i] = sev.Stats()
 			}
-			mu.Lock()
-			stats.Add(local)
-			fast += localFast
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
+		})
+	}, func(i int) {
+		// The evaluator is scenario-private, so its counters attribute
+		// exactly one evaluation.
+		stats.Add(effort[i])
+		if effort[i].FastPathHits > 0 {
+			fast++
+		}
+		if emit != nil {
+			emit(results[i])
+		}
+	})
 	return results, stats, fast
 }
 

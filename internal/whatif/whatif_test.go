@@ -1,7 +1,10 @@
 package whatif
 
 import (
+	"context"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exp"
@@ -311,5 +314,46 @@ func TestWarmStartBeatsColdReplan(t *testing.T) {
 		if !a.Infeasible && math.Abs(a.Period-b.Period) > 1e-6*(1+b.Period) {
 			t.Errorf("scenario %d period differs warm/cold: %v vs %v", i, a.Period, b.Period)
 		}
+	}
+}
+
+// TestStreamCanceledDrains: under a context that has already ended,
+// Stream solves nothing — every scenario is still emitted, in
+// enumeration order, carrying the context's error — and each worker's
+// loop runs inside the caller's lane wrapper exactly once.
+func TestStreamCanceledDrains(t *testing.T) {
+	p, _, _ := relayProblem(t)
+	base, err := NewBaseline(steady.NewEvaluator(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := Enumerate(p.G, p.Source, DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var lanes atomic.Int64
+	lane := func(_ int, loop func()) {
+		lanes.Add(1)
+		loop()
+	}
+	var emitted []Result
+	results, stats, fast := Stream(ctx, base, scenarios, Config{Workers: 2}, lane, func(r Result) {
+		emitted = append(emitted, r)
+	})
+	if len(emitted) != len(scenarios) || len(results) != len(scenarios) {
+		t.Fatalf("emitted %d and returned %d results for %d scenarios", len(emitted), len(results), len(scenarios))
+	}
+	for i, r := range emitted {
+		if r.Scenario != scenarios[i] || !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("line %d = %+v, want scenario %+v with the context's error", i, r, scenarios[i])
+		}
+		if results[i].Scenario != r.Scenario || results[i].Err != r.Err {
+			t.Errorf("result %d differs from its emitted line", i)
+		}
+	}
+	if stats.Solves != 0 || stats.Evaluations != 0 || fast != 0 {
+		t.Errorf("canceled stream solved: stats %+v, fast-path scenarios %d", stats, fast)
+	}
+	if n := lanes.Load(); n != 2 {
+		t.Errorf("lane wrapper ran %d times, want once per worker (2)", n)
 	}
 }
