@@ -574,7 +574,10 @@ func BenchmarkServePlanMaxShards(b *testing.B) { benchServePlan(b, 0) }
 
 func benchServePlan(b *testing.B, shards int) {
 	b.Helper()
-	srv := repro.NewPlanServer(repro.ServeConfig{Shards: shards, CacheSize: -1})
+	// MaxQueue seats every request of the batch: the benchmark measures
+	// shard throughput, not shedding (the default admission for one
+	// shard, 2 slots and 4 queue seats, would shed 2 of the 8 with 429).
+	srv := repro.NewPlanServer(repro.ServeConfig{Shards: shards, CacheSize: -1, MaxQueue: 8})
 	pl, err := repro.GenerateSmallPlatform(1)
 	if err != nil {
 		b.Fatal(err)

@@ -18,9 +18,16 @@
 // when any benchmark present in both files has regressed its ns/op by
 // more than -tolerance (relative) or its bytes/op by more than
 // -bytes-tolerance against the committed baseline — allocation wins
-// are locked in the same way timing wins are.
-// Benchmarks faster than -min-ns in the baseline are skipped — at
-// -benchtime=1x their timing is dominated by scheduler noise.
+// are locked in the same way timing wins are — or when any of its
+// counter metrics changed at all. Counters are every custom metric
+// except the host-dependent rates (req/s, events-per-sec,
+// parallel-speedup, MB/s) and the shard count: simplex iterations, LP
+// solves, cache hits and the reproduced paper quantities repeat
+// exactly on any machine, so any change means the benchmark did
+// different work.
+// Benchmarks faster than -min-ns in the baseline skip the timing and
+// bytes gates — at -benchtime=1x their timing is dominated by
+// scheduler noise — but not the counter gate.
 // Benchmarks present in only one of the two files are reported to
 // stderr (added ones are informational; removed ones usually mean the
 // committed baseline drifted after a rename), and -strict turns
@@ -36,6 +43,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -54,7 +62,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
 	out := flag.String("o", "BENCH_sweep.json", "output JSON file (\"-\" for stdout)")
-	compare := flag.Bool("compare", false, "compare two JSON files (baseline, candidate) and fail on ns/op and bytes/op regressions")
+	compare := flag.Bool("compare", false, "compare two JSON files (baseline, candidate) and fail on ns/op and bytes/op regressions and counter changes")
 	tolerance := flag.Float64("tolerance", 0.25, "relative ns/op regression allowed by -compare")
 	bytesTol := flag.Float64("bytes-tolerance", 0.35, "relative bytes/op regression allowed by -compare (0 disables the bytes gate)")
 	minNs := flag.Float64("min-ns", 1e6, "with -compare, skip benchmarks whose baseline ns/op is below this (timing noise)")
@@ -78,7 +86,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 		}
 		if regressions > 0 {
-			log.Fatalf("%d benchmark(s) regressed (ns/op beyond %.0f%% or bytes/op beyond %.0f%%) vs %s",
+			log.Fatalf("%d regression(s) (ns/op beyond %.0f%%, bytes/op beyond %.0f%% or a changed counter) vs %s",
 				regressions, *tolerance*100, *bytesTol*100, flag.Arg(0))
 		}
 		if *strict && removed > 0 {
@@ -130,10 +138,53 @@ func loadEntries(path string) ([]Entry, error) {
 	return entries, nil
 }
 
+// hostMetrics are the custom metrics whose value depends on the machine
+// that ran the benchmark. Every other custom metric is a counter.
+var hostMetrics = map[string]bool{
+	"req/s":            true,
+	"events-per-sec":   true,
+	"parallel-speedup": true,
+	"MB/s":             true,
+	"shards":           true, // GOMAXPROCS-dependent
+}
+
+// counterChanges reports every counter metric whose value differs
+// between the two runs of one benchmark, or that only one run reports.
+func counterChanges(old, now Entry) []string {
+	names := make([]string, 0, len(old.Metrics)+len(now.Metrics))
+	for k := range old.Metrics {
+		names = append(names, k)
+	}
+	for k := range now.Metrics {
+		if _, ok := old.Metrics[k]; !ok {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	var lines []string
+	for _, k := range names {
+		if hostMetrics[k] {
+			continue
+		}
+		a, inOld := old.Metrics[k]
+		b, inNow := now.Metrics[k]
+		switch {
+		case !inNow:
+			lines = append(lines, fmt.Sprintf("COUNTER: %s: %s = %g in the baseline is not reported", old.Name, k, a))
+		case !inOld:
+			lines = append(lines, fmt.Sprintf("COUNTER: %s: %s = %g is not in the baseline", old.Name, k, b))
+		case a != b:
+			lines = append(lines, fmt.Sprintf("COUNTER: %s: %s %g -> %g", old.Name, k, a, b))
+		}
+	}
+	return lines
+}
+
 // Compare checks the candidate entries against the baseline and
 // returns a human-readable report plus the number of regressions —
-// ns/op beyond tolerance, or bytes/op beyond bytesTol when both sides
-// report allocation bytes (bytesTol <= 0 disables that gate) — and the
+// ns/op beyond tolerance, bytes/op beyond bytesTol when both sides
+// report allocation bytes (bytesTol <= 0 disables that gate), or a
+// counter metric that changed (one per metric, whatever minNs) — and the
 // number of baseline benchmarks whose coverage the candidate lost:
 // either not run at all, or run without -benchmem when the baseline
 // tracks B/op (a zero candidate bytes/op must not read as a win). Baseline
@@ -159,6 +210,9 @@ func Compare(baseline, candidate []Entry, tolerance, bytesTol, minNs float64) (r
 			report = append(report, fmt.Sprintf("removed: %s is in the baseline but was not run", old.Name))
 			continue
 		}
+		changed := counterChanges(old, now)
+		regressions += len(changed)
+		report = append(report, changed...)
 		if old.NsPerOp < minNs {
 			skipped++
 			continue

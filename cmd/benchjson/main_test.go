@@ -211,3 +211,44 @@ func TestCompareCountsRemovalsBelowMinNs(t *testing.T) {
 		t.Errorf("got %d regressions, %d removed, want 0 and 1", regressions, removed)
 	}
 }
+
+// TestCompareFlagsCounterChanges: a counter metric that changes by any
+// amount, appears or disappears is a regression, even below min-ns;
+// the host-dependent rates may move freely.
+func TestCompareFlagsCounterChanges(t *testing.T) {
+	withMetrics := func(name string, ns float64, m map[string]float64) Entry {
+		e := entry(name, ns)
+		e.Metrics = m
+		return e
+	}
+	baseline := []Entry{
+		withMetrics("BenchmarkSweep", 10e6, map[string]float64{"simplex-iters": 48587, "lp-solves": 513, "parallel-speedup": 0.99}),
+		withMetrics("BenchmarkTiny", 1000, map[string]float64{"simplex-iters": 156, "throughput": 0.003418}),
+		withMetrics("BenchmarkServe", 10e6, map[string]float64{"req/s": 445.5, "shards": 1}),
+		withMetrics("BenchmarkSame", 10e6, map[string]float64{"cache-hits": 27}),
+	}
+	candidate := []Entry{
+		withMetrics("BenchmarkSweep", 10e6, map[string]float64{"simplex-iters": 48588, "lp-solves": 513, "parallel-speedup": 1.9}),
+		withMetrics("BenchmarkTiny", 1000, map[string]float64{"simplex-iters": 156, "warm-solves": 6}),
+		withMetrics("BenchmarkServe", 10e6, map[string]float64{"req/s": 900, "shards": 2}),
+		withMetrics("BenchmarkSame", 10e6, map[string]float64{"cache-hits": 27}),
+	}
+	report, regressions, removed := Compare(baseline, candidate, 0.25, 0.35, 1e6)
+	if regressions != 3 || removed != 0 {
+		t.Fatalf("got %d regressions, %d removed, want 3 and 0\n%s", regressions, removed, strings.Join(report, "\n"))
+	}
+	want := []string{
+		"COUNTER: BenchmarkSweep: simplex-iters 48587 -> 48588",
+		"COUNTER: BenchmarkTiny: throughput = 0.003418 in the baseline is not reported",
+		"COUNTER: BenchmarkTiny: warm-solves = 6 is not in the baseline",
+	}
+	var got []string
+	for _, line := range report {
+		if strings.HasPrefix(line, "COUNTER") {
+			got = append(got, line)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("counter lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

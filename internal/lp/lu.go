@@ -8,8 +8,8 @@ package lp
 // structural columns from the compiled CSC store, logical columns as
 // implicit ±e_i. Factorisation is left-looking (Gilbert–Peierls): each
 // column is solved against the L computed so far through a sparse
-// triangular solve whose update order is driven by a min-heap over
-// elimination steps, and the pivot row is chosen Markowitz-style —
+// triangular solve that visits the reached elimination steps in
+// ascending order, and the pivot row is chosen Markowitz-style —
 // among the rows within luPivTol of the column's largest eligible
 // magnitude, the row with the fewest nonzeros in B wins (a static
 // fill-in estimate), ties broken by row index so factorisation is
@@ -23,8 +23,45 @@ package lp
 // iteration loop detects drift of the incrementally updated basic
 // values — the basis is refactorised from scratch and the eta file
 // cleared.
+//
+// The per-iteration solves are hypersparse (Hall & McKinnon): they cost
+// the entries they touch, not m. On the Figure 11 programs (m ≈ 1,500
+// rows on average, up to 4,600) a BTRAN starts from about one nonzero
+// basic cost and touches about 7 eta slots and 28 elimination steps; an
+// FTRAN touches about 85 steps and ends with about 370 nonzeros, most
+// of them fill from the eta file. Apart from clearing their output
+// vector (one memclr), ftran and btran do not walk all m steps or every
+// eta entry:
+//
+//   - btran's reverse eta sweep keeps z's nonzero slots in an ascending
+//     list and forms each eta's dot product from them — by binary
+//     search in the eta's ascending slot list, or by scanning an eta
+//     that is short next to the list.
+//   - The L and U passes (and their transposes in btran) mark the steps
+//     they reach in a pending-step bitset and take them back out in
+//     ascending or descending order — the order the dense loops walk.
+//     A pass only ever reaches steps beyond the one it is processing,
+//     so popping the lowest (or highest) pending step is exact.
+//   - ftran marks the slots of w it writes and reads the marks back
+//     word by word, which yields w's nonzero slots in ascending order
+//     for the ratio test, the basic-value update and appendEta. Once
+//     the eta file has touched m entries, a scan of w is cheaper than
+//     more marks, and ftran scans instead.
+//
+// Exactness: every nonzero is computed by the same floating-point
+// operations in the same order as the dense loops, because the skipped
+// work only ever adds or subtracts exact zeros. Only the sign of an
+// exact zero may differ: a dense loop stores -0 for 0/uDiag with
+// uDiag < 0, where the sparse solve skips the step and leaves +0.
+// Marks, pending steps and lists use the factorisation scratch, idle
+// between factorisations. The dense lowerSolve/upperSolve pair remains
+// for recomputeXB, whose right-hand side b is dense.
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 const (
 	// luPivTol is the threshold-pivoting tolerance: rows within this
@@ -34,6 +71,12 @@ const (
 	// luSingTol is the pivot magnitude below which the basis matrix is
 	// declared singular.
 	luSingTol = 1e-11
+	// etaScanRatio picks how btran forms an eta's dot product: an eta
+	// with at most this many slots per nonzero of z is scanned whole,
+	// a longer one is probed by binary search for each nonzero. The
+	// scan bounds the cost when z is dense, as in a phase 1 with many
+	// basic artificials.
+	etaScanRatio = 8
 )
 
 // luFactor holds P·B·Q = L·U in sparse column form plus the eta file.
@@ -60,6 +103,7 @@ type luFactor struct {
 	rowOf  []int32 // elimination step -> original pivot row
 	rowInv []int32 // original row -> elimination step (-1 during factorisation)
 	slotOf []int32 // elimination step -> basis slot eliminated
+	stepOf []int32 // basis slot -> elimination step
 
 	// Row-wise transposes of L and U, rebuilt after each factorisation.
 	// They exist so that BTRAN can run in scatter form with zero
@@ -76,7 +120,7 @@ type luFactor struct {
 
 	// Eta file: one entry run per pivot since the factorisation, in
 	// basis-slot space. etaPtr[e]..etaPtr[e+1] are the off-pivot
-	// nonzeros of eta e.
+	// nonzeros of eta e, in ascending slot order.
 	etaPtr    []int32
 	etaPiv    []int32
 	etaPivVal []float64
@@ -85,15 +129,22 @@ type luFactor struct {
 
 	luNNZ int // nnz(L) + nnz(U) + m at the last factorisation
 
-	// Factorisation scratch.
+	// Factorisation scratch. Between factorisations ftran and btran
+	// reuse it along with the pending-step set; each leaves x zero,
+	// mark clear and no step pending.
 	x      []float64
-	xMark  []bool
+	mark   []uint64 // bitset over rows (factorisation) or slots (ftran, btran)
 	nzList []int32
-	heap   []int32
-	inHeap []bool
 	rowCnt []int32
-	order  []int32
 	bucket []int32
+
+	// Pending elimination steps of a sparse triangular solve: a bitset
+	// over steps, its population and the lowest and highest words that
+	// may hold a bit. popMin and popMax hand the steps out in the order
+	// the dense loops visit them.
+	pend     []uint64
+	npend    int
+	plo, phi int
 }
 
 func (f *luFactor) etas() int   { return len(f.etaPiv) }
@@ -149,28 +200,29 @@ func (ws *Workspace) factorize() bool {
 	f.rowOf = growI32(f.rowOf, m)
 	f.rowInv = growI32(f.rowInv, m)
 	f.slotOf = growI32(f.slotOf, m)
+	f.stepOf = growI32(f.stepOf, m)
 	if len(f.etaPtr) == 0 {
 		f.etaPtr = append(f.etaPtr, 0)
 	}
 	f.clearEtas()
 
 	f.x = growF(f.x, m)
-	if cap(f.xMark) < m {
-		f.xMark = make([]bool, m)
-		f.inHeap = make([]bool, m)
+	nw := (m + 63) / 64
+	if cap(f.mark) < nw {
+		f.mark = make([]uint64, nw)
+		f.pend = make([]uint64, nw)
 	}
-	f.xMark = f.xMark[:m]
-	f.inHeap = f.inHeap[:m]
+	f.mark = f.mark[:nw]
+	f.pend = f.pend[:nw]
+	clear(f.mark)
+	clear(f.pend)
+	f.npend, f.plo, f.phi = 0, nw, -1
 	f.nzList = growI32(f.nzList, m)[:0]
-	f.heap = growI32(f.heap, m)[:0]
 	f.rowCnt = growI32(f.rowCnt, m)
-	f.order = growI32(f.order, m)
 	f.bucket = growI32(f.bucket, m+2)
 
 	for i := 0; i < m; i++ {
 		f.x[i] = 0
-		f.xMark[i] = false
-		f.inHeap[i] = false
 		f.rowInv[i] = -1
 		f.rowCnt[i] = 0
 	}
@@ -194,8 +246,9 @@ func (ws *Workspace) factorize() bool {
 		}
 	}
 
-	// Column order: sparsest column first (counting sort, stable in
-	// slot order so factorisation is deterministic).
+	// Column order, written straight into slotOf: sparsest column first
+	// (counting sort, stable in slot order so factorisation is
+	// deterministic).
 	for i := range f.bucket[:m+2] {
 		f.bucket[i] = 0
 	}
@@ -214,12 +267,13 @@ func (ws *Workspace) factorize() bool {
 		if nz > int32(m) {
 			nz = int32(m)
 		}
-		f.order[f.bucket[nz]] = int32(slot)
+		f.slotOf[f.bucket[nz]] = int32(slot)
 		f.bucket[nz]++
 	}
 
 	for k := 0; k < m; k++ {
-		slot := int(f.order[k])
+		slot := int(f.slotOf[k])
+		f.stepOf[slot] = int32(k)
 		// Scatter the basis column of this slot into the sparse
 		// accumulator, seeding the elimination heap with the already
 		// pivoted rows it touches.
@@ -227,38 +281,38 @@ func (ws *Workspace) factorize() bool {
 		if code >= ws.n {
 			i := ws.unitRow(code)
 			f.x[i] = ws.unitSign(code)
-			f.xMark[i] = true
+			setBit(f.mark, int32(i))
 			f.nzList = append(f.nzList, int32(i))
 			if j := f.rowInv[i]; j >= 0 {
-				f.heapPush(j)
+				f.push(j)
 			}
 		} else {
 			for e := ws.colPtr[code]; e < ws.colPtr[code+1]; e++ {
 				i := ws.colRow[e]
 				f.x[i] = ws.colVal[e]
-				f.xMark[i] = true
+				setBit(f.mark, i)
 				f.nzList = append(f.nzList, i)
 				if j := f.rowInv[i]; j >= 0 {
-					f.heapPush(j)
+					f.push(j)
 				}
 			}
 		}
 		// Sparse lower-triangular solve: eliminate through the existing
 		// L columns in ascending step order (a valid topological order,
 		// since L column j only touches rows pivoted after j).
-		for len(f.heap) > 0 {
-			j := f.heapPop()
+		for f.npend > 0 {
+			j := f.popMin()
 			v := f.x[f.rowOf[j]]
 			if v != 0 {
 				f.uRow = append(f.uRow, f.rowOf[j])
 				f.uVal = append(f.uVal, v)
 				for e := f.lPtr[j]; e < f.lPtr[j+1]; e++ {
 					i := f.lRow[e]
-					if !f.xMark[i] {
-						f.xMark[i] = true
+					if !hasBit(f.mark, i) {
+						setBit(f.mark, i)
 						f.nzList = append(f.nzList, i)
 						if jj := f.rowInv[i]; jj >= 0 {
-							f.heapPush(jj)
+							f.push(jj)
 						}
 					}
 					f.x[i] -= f.lVal[e] * v
@@ -295,7 +349,6 @@ func (ws *Workspace) factorize() bool {
 		f.uDiag[k] = pv
 		f.rowOf[k] = piv
 		f.rowInv[piv] = int32(k)
-		f.slotOf[k] = int32(slot)
 		for _, i32 := range f.nzList {
 			if i32 == piv || f.rowInv[i32] >= 0 {
 				continue
@@ -378,60 +431,64 @@ func (f *luFactor) buildTransposes() {
 func (f *luFactor) resetColumn() {
 	for _, i := range f.nzList {
 		f.x[i] = 0
-		f.xMark[i] = false
+		clearBit(f.mark, i)
 	}
 	f.nzList = f.nzList[:0]
-	for _, j := range f.heap {
-		f.inHeap[j] = false
-	}
-	f.heap = f.heap[:0]
 }
 
-// heapPush / heapPop maintain the min-heap of pending elimination
-// steps for the sparse triangular solve.
-func (f *luFactor) heapPush(j int32) {
-	if f.inHeap[j] {
+func setBit(b []uint64, i int32)      { b[i>>6] |= 1 << uint(i&63) }
+func clearBit(b []uint64, i int32)    { b[i>>6] &^= 1 << uint(i&63) }
+func hasBit(b []uint64, i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+
+// push marks elimination step j pending (once).
+func (f *luFactor) push(j int32) {
+	w, bit := int(j>>6), uint64(1)<<uint(j&63)
+	if f.pend[w]&bit != 0 {
 		return
 	}
-	f.inHeap[j] = true
-	f.heap = append(f.heap, j)
-	c := len(f.heap) - 1
-	for c > 0 {
-		p := (c - 1) / 2
-		if f.heap[p] <= f.heap[c] {
-			break
-		}
-		f.heap[p], f.heap[c] = f.heap[c], f.heap[p]
-		c = p
-	}
+	f.pend[w] |= bit
+	f.npend++
+	f.plo = min(f.plo, w)
+	f.phi = max(f.phi, w)
 }
 
-func (f *luFactor) heapPop() int32 {
-	top := f.heap[0]
-	f.inHeap[top] = false
-	last := len(f.heap) - 1
-	f.heap[0] = f.heap[last]
-	f.heap = f.heap[:last]
-	p := 0
-	for {
-		c := 2*p + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && f.heap[c+1] < f.heap[c] {
-			c++
-		}
-		if f.heap[p] <= f.heap[c] {
-			break
-		}
-		f.heap[p], f.heap[c] = f.heap[c], f.heap[p]
-		p = c
+// popMin removes and returns the lowest pending step. An ascending
+// solve only pushes steps above the one it is processing, so it sees
+// every step it reaches in increasing order.
+func (f *luFactor) popMin() int32 {
+	for f.pend[f.plo] == 0 {
+		f.plo++
 	}
-	return top
+	w := f.pend[f.plo]
+	b := bits.TrailingZeros64(w)
+	f.pend[f.plo] = w &^ (1 << uint(b))
+	j := int32(f.plo<<6 + b)
+	f.popped()
+	return j
+}
+
+// popMax removes and returns the highest pending step; the descending
+// counterpart of popMin.
+func (f *luFactor) popMax() int32 {
+	for f.pend[f.phi] == 0 {
+		f.phi--
+	}
+	w := f.pend[f.phi]
+	b := 63 - bits.LeadingZeros64(w)
+	f.pend[f.phi] = w &^ (1 << uint(b))
+	j := int32(f.phi<<6 + b)
+	f.popped()
+	return j
+}
+
+func (f *luFactor) popped() {
+	if f.npend--; f.npend == 0 {
+		f.plo, f.phi = len(f.pend), -1
+	}
 }
 
 // lowerSolve solves L·z = a in place; a is a dense vector in original
-// row space.
+// row space. With upperSolve it is the dense solve of recomputeXB.
 func (f *luFactor) lowerSolve(a []float64) {
 	for j := 0; j < f.m; j++ {
 		v := a[f.rowOf[j]]
@@ -460,66 +517,207 @@ func (f *luFactor) upperSolve(a, out []float64) {
 	}
 }
 
-// applyEtas applies the eta file in pivot order to the slot-space FTRAN
-// result: for eta (r, w), out_r /= w_r and out_i -= w_i·out_r.
-func (f *luFactor) applyEtas(out []float64) {
-	for e := 0; e < len(f.etaPiv); e++ {
-		r := f.etaPiv[e]
-		p := out[r]
+// ftranLoad sets entry i of ftran's row-space right-hand side. Load
+// every nonzero of the column, then call ftran.
+func (f *luFactor) ftranLoad(i int32, v float64) {
+	f.x[i] = v
+	f.push(f.rowInv[i])
+}
+
+// ftran solves B·w = a for the right-hand side loaded by ftranLoad and
+// returns w's nonzero slots in ascending order (the list lives in
+// nzList, valid until the next btran or factorisation). w is cleared
+// first. The L pass takes the touched elimination steps in ascending
+// order and the U pass in descending order, as the dense loops visit
+// them; the eta file is then applied in pivot order.
+func (f *luFactor) ftran(w []float64) []int32 {
+	clear(w)
+	steps := f.nzList[:0]
+	for f.npend > 0 {
+		j := f.popMin()
+		steps = append(steps, j)
+		v := f.x[f.rowOf[j]]
+		if v == 0 {
+			continue
+		}
+		for e := f.lPtr[j]; e < f.lPtr[j+1]; e++ {
+			i := f.lRow[e]
+			f.x[i] -= f.lVal[e] * v
+			f.push(f.rowInv[i])
+		}
+	}
+	for _, j := range steps {
+		f.push(j)
+	}
+	for f.npend > 0 {
+		k := f.popMax()
+		row := f.rowOf[k]
+		v := f.x[row] / f.uDiag[k]
+		f.x[row] = 0
+		if v == 0 {
+			continue
+		}
+		s := f.slotOf[k]
+		w[s] = v
+		setBit(f.mark, s)
+		for e := f.uPtr[k]; e < f.uPtr[k+1]; e++ {
+			i := f.uRow[e]
+			f.x[i] -= f.uVal[e] * v
+			f.push(f.rowInv[i])
+		}
+	}
+	// Eta file in pivot order: for eta (r, w'), w_r /= w'_r and
+	// w_i -= w'_i·w_r. Marking stops once the etas have touched m
+	// entries: from there a scan of w costs less than the marks.
+	budget := f.m
+	for e, r := range f.etaPiv {
+		p := w[r]
 		if p == 0 {
 			continue
 		}
 		p /= f.etaPivVal[e]
-		out[r] = p
-		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-			out[f.etaRow[t]] -= f.etaVal[t] * p
+		w[r] = p
+		lo, hi := f.etaPtr[e], f.etaPtr[e+1]
+		if budget -= int(hi - lo); budget < 0 {
+			for t := lo; t < hi; t++ {
+				w[f.etaRow[t]] -= f.etaVal[t] * p
+			}
+			continue
+		}
+		for t := lo; t < hi; t++ {
+			i := f.etaRow[t]
+			w[i] -= f.etaVal[t] * p
+			setBit(f.mark, i)
 		}
 	}
+	nz := steps[:0]
+	if budget < 0 {
+		clear(f.mark)
+		for i, v := range w {
+			if v != 0 {
+				nz = append(nz, int32(i))
+			}
+		}
+		f.nzList = nz
+		return nz
+	}
+	// The marked slots, read word by word, are the ascending list.
+	for wi, word := range f.mark {
+		if word == 0 {
+			continue
+		}
+		f.mark[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			s := int32(wi<<6 + bits.TrailingZeros64(word))
+			if w[s] != 0 {
+				nz = append(nz, s)
+			}
+		}
+	}
+	f.nzList = nz
+	return nz
 }
 
-// btran solves y·B = c: z is the slot-space input (destroyed), y
-// receives the row-space result. The eta file is applied in reverse,
-// then the transposed U and L solves run in scatter form over the
-// row-wise copies, skipping zero pivots — near-unit inputs (loadRho,
-// the mostly-zero basic costs of computeY) stay sparse all the way
-// through.
+// btran solves y·B = c. The caller loads c into the slot-space vector
+// z, which is zero elsewhere, and lists the loaded slots in ascending
+// order in nzList; btran consumes the list and leaves z all zero. y is
+// cleared and receives the row-space result.
+//
+// The eta file is applied in reverse. An eta's dot product sums
+// z_i·eta_i over its ascending slots: the whole eta when it is short
+// next to z's list, else only the slots of the list, found by binary
+// search. Either way it adds the same nonzero terms in the same order
+// as the full sum. The transposed U solve then takes the reached
+// elimination steps in ascending order and the transposed L solve in
+// descending order, scattering through the row-wise copies.
 func (f *luFactor) btran(z, y []float64) {
+	clear(y)
+	list := f.nzList // ascending; mark holds its slots
+	for _, s := range list {
+		setBit(f.mark, s)
+	}
 	for e := len(f.etaPiv) - 1; e >= 0; e-- {
+		lo, hi := f.etaPtr[e], f.etaPtr[e+1]
+		rows, vals := f.etaRow[lo:hi], f.etaVal[lo:hi]
 		acc := 0.0
-		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-			acc += z[f.etaRow[t]] * f.etaVal[t]
+		if len(rows) <= etaScanRatio*len(list) {
+			for t, i := range rows {
+				acc += z[i] * vals[t]
+			}
+		} else {
+			t := 0
+			for _, s := range list {
+				k, found := slices.BinarySearch(rows[t:], s)
+				t += k
+				if t == len(rows) {
+					break
+				}
+				if found {
+					acc += z[s] * vals[t]
+					t++
+				}
+			}
 		}
 		r := f.etaPiv[e]
+		if !hasBit(f.mark, r) {
+			if acc == 0 {
+				continue // z_r stays zero
+			}
+			setBit(f.mark, r)
+			at, _ := slices.BinarySearch(list, r)
+			list = slices.Insert(list, at, r)
+		}
 		z[r] = (z[r] - acc) / f.etaPivVal[e]
 	}
-	for k := 0; k < f.m; k++ {
-		v := z[f.slotOf[k]] / f.uDiag[k]
-		y[f.rowOf[k]] = v
+	for _, s := range list {
+		clearBit(f.mark, s)
+		f.push(f.stepOf[s])
+	}
+	// Transposed U, ascending steps. The steps that leave a nonzero in y
+	// seed the transposed L pass.
+	ysteps := list[:0]
+	for f.npend > 0 {
+		k := f.popMin()
+		s := f.slotOf[k]
+		v := z[s] / f.uDiag[k]
+		z[s] = 0
 		if v == 0 {
 			continue
 		}
+		y[f.rowOf[k]] = v
+		ysteps = append(ysteps, k)
 		for e := f.utPtr[k]; e < f.utPtr[k+1]; e++ {
-			z[f.utCol[e]] -= f.utVal[e] * v
+			c := f.utCol[e]
+			z[c] -= f.utVal[e] * v
+			f.push(f.stepOf[c])
 		}
 	}
-	for j := f.m - 1; j >= 0; j-- {
+	// Transposed L, descending steps.
+	for _, j := range ysteps {
+		f.push(j)
+	}
+	for f.npend > 0 {
+		j := f.popMax()
 		v := y[f.rowOf[j]]
 		if v == 0 {
 			continue
 		}
 		for e := f.ltPtr[j]; e < f.ltPtr[j+1]; e++ {
-			y[f.ltRow[e]] -= f.ltVal[e] * v
+			i := f.ltRow[e]
+			y[i] -= f.ltVal[e] * v
+			f.push(f.rowInv[i])
 		}
 	}
 }
 
-// appendEta records one pivot: the FTRAN image w of the entering column
-// and the leaving slot.
-func (f *luFactor) appendEta(w []float64, leave int) {
-	for i, v := range w[:f.m] {
-		if v != 0 && i != leave {
-			f.etaRow = append(f.etaRow, int32(i))
-			f.etaVal = append(f.etaVal, v)
+// appendEta records one pivot: the FTRAN image w of the entering column,
+// with nz its ascending nonzero slots as ftran returned them, and the
+// leaving slot.
+func (f *luFactor) appendEta(w []float64, nz []int32, leave int) {
+	for _, i := range nz {
+		if int(i) != leave {
+			f.etaRow = append(f.etaRow, i)
+			f.etaVal = append(f.etaVal, w[i])
 		}
 	}
 	f.etaPiv = append(f.etaPiv, int32(leave))

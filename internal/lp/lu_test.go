@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/testutil"
@@ -141,10 +142,8 @@ func TestFtranBtranMatchDense(t *testing.T) {
 				c[i] = rng.NormFloat64()
 			}
 		}
-		z := make([]float64, m)
-		copy(z, c)
 		y := make([]float64, m)
-		ws.lu.btran(z, y)
+		btranDense(ws, c, y)
 		wantY := denseSolve(B, c, true)
 		for i := 0; i < m; i++ {
 			if !testutil.Near(y[i], wantY[i], tol) {
@@ -264,5 +263,314 @@ func TestRefactorPreservesIterate(t *testing.T) {
 		if !testutil.Near(before[i], ws.xb[i], 1e-9) {
 			t.Fatalf("xb[%d] drifted across refactorisation: %v vs %v", i, before[i], ws.xb[i])
 		}
+	}
+}
+
+// btranDense runs the workspace's BTRAN on a dense slot-space vector c.
+func btranDense(ws *Workspace, c, y []float64) {
+	f := &ws.lu
+	z := ws.btmp[:ws.m]
+	f.nzList = f.nzList[:0]
+	for i, v := range c {
+		if v != 0 {
+			z[i] = v
+			f.nzList = append(f.nzList, int32(i))
+		}
+	}
+	f.btran(z, y)
+}
+
+// refBtran is a dense BTRAN, the reference for btran: the reverse eta
+// sweep sums over every slot of every eta, then the transposed U and L
+// solves walk all m elimination steps. z is destroyed.
+func refBtran(f *luFactor, z, y []float64) {
+	for e := len(f.etaPiv) - 1; e >= 0; e-- {
+		acc := 0.0
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			acc += z[f.etaRow[t]] * f.etaVal[t]
+		}
+		r := f.etaPiv[e]
+		z[r] = (z[r] - acc) / f.etaPivVal[e]
+	}
+	for k := 0; k < f.m; k++ {
+		v := z[f.slotOf[k]] / f.uDiag[k]
+		y[f.rowOf[k]] = v
+		if v == 0 {
+			continue
+		}
+		for e := f.utPtr[k]; e < f.utPtr[k+1]; e++ {
+			z[f.utCol[e]] -= f.utVal[e] * v
+		}
+	}
+	for j := f.m - 1; j >= 0; j-- {
+		v := y[f.rowOf[j]]
+		if v == 0 {
+			continue
+		}
+		for e := f.ltPtr[j]; e < f.ltPtr[j+1]; e++ {
+			y[f.ltRow[e]] -= f.ltVal[e] * v
+		}
+	}
+}
+
+// refFtran is a dense FTRAN, the reference for ftran: scatter the
+// column, solve through all of L and U, then apply every eta.
+func refFtran(ws *Workspace, code int) []float64 {
+	m := ws.m
+	a := make([]float64, m)
+	if code >= ws.n {
+		a[ws.unitRow(code)] = ws.unitSign(code)
+	} else {
+		for e := ws.colPtr[code]; e < ws.colPtr[code+1]; e++ {
+			a[ws.colRow[e]] = ws.colVal[e]
+		}
+	}
+	w := make([]float64, m)
+	f := &ws.lu
+	f.lowerSolve(a)
+	f.upperSolve(a, w)
+	for e := 0; e < len(f.etaPiv); e++ {
+		r := f.etaPiv[e]
+		p := w[r]
+		if p == 0 {
+			continue
+		}
+		p /= f.etaPivVal[e]
+		w[r] = p
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			w[f.etaRow[t]] -= f.etaVal[t] * p
+		}
+	}
+	return w
+}
+
+// refChooseLeaving is a dense ratio test, the reference for
+// chooseLeaving: two passes over all m rows of w.
+func refChooseLeaving(ws *Workspace, w []float64, bland bool) int {
+	m := ws.m
+	pinned := ws.nart > 0
+	bestRatio := math.Inf(1)
+	for i := 0; i < m; i++ {
+		wi := w[i]
+		if pinned {
+			wi = ws.leaveCoef(i, wi)
+		}
+		if wi <= Eps {
+			continue
+		}
+		if ratio := ws.xb[i] / wi; ratio < bestRatio {
+			bestRatio = ratio
+		}
+	}
+	if math.IsInf(bestRatio, 1) {
+		return -1
+	}
+	tol := Eps * (1 + math.Abs(bestRatio))
+	best := -1
+	bestCoef := 0.0
+	for i := 0; i < m; i++ {
+		wi := w[i]
+		if pinned {
+			wi = ws.leaveCoef(i, wi)
+		}
+		if wi <= Eps {
+			continue
+		}
+		if ws.xb[i]/wi > bestRatio+tol {
+			continue
+		}
+		if bland {
+			if best < 0 || ws.basis[i] < ws.basis[best] {
+				best = i
+			}
+		} else if wi > bestCoef {
+			best, bestCoef = i, wi
+		}
+	}
+	return best
+}
+
+// sameNonzeros fails unless got and want agree bit for bit on every
+// nonzero of want and got is zero (either sign) wherever want is.
+func sameNonzeros(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i, v := range want {
+		if v == 0 {
+			if got[i] != 0 {
+				t.Fatalf("%s[%d] = %v, dense reference 0", what, i, got[i])
+			}
+		} else if math.Float64bits(got[i]) != math.Float64bits(v) {
+			t.Fatalf("%s[%d] = %v (%#x), dense reference %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), v, math.Float64bits(v))
+		}
+	}
+}
+
+// randomMixedModel builds a feasible, bounded program with <=, >= and =
+// rows around a random point x0 >= 0, sparse enough that FTRAN and BTRAN
+// skip most of the basis, and large enough that phase 1, the eta file
+// and mid-solve refactorisations all come into play.
+func randomMixedModel(rng *rand.Rand, maximize bool) *Model {
+	mdl := NewModel()
+	if maximize {
+		mdl.Maximize()
+	}
+	n := 12 + rng.Intn(30)
+	x0 := make([]float64, n)
+	budget := make([]Term, n)
+	total := 0.0
+	for j := 0; j < n; j++ {
+		mdl.AddVar(rng.Float64()*4-2, "")
+		if rng.Float64() < 0.6 {
+			x0[j] = rng.Float64() * 3
+		}
+		total += x0[j]
+		budget[j] = Term{Var: j, Coef: 1}
+	}
+	mdl.AddRow(LE, total+5, budget...)
+	for r, rows := 0, 20+rng.Intn(50); r < rows; r++ {
+		var terms []Term
+		ax := 0.0
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.12 {
+				c := rng.Float64()*4 - 1
+				terms = append(terms, Term{Var: j, Coef: c})
+				ax += c * x0[j]
+			}
+		}
+		if len(terms) == 0 {
+			j := rng.Intn(n)
+			terms = append(terms, Term{Var: j, Coef: 1})
+			ax += x0[j]
+		}
+		switch rng.Intn(3) {
+		case 0:
+			mdl.AddRow(LE, ax+rng.Float64(), terms...)
+		case 1:
+			mdl.AddRow(GE, ax-rng.Float64(), terms...)
+		default:
+			mdl.AddRow(EQ, ax, terms...)
+		}
+	}
+	return mdl
+}
+
+// TestSparseKernelsMatchDenseReference drives the primal simplex through
+// the workspace's own pricing, ratio test and pivot on random min- and
+// max-sense models, and before every pivot checks the hypersparse
+// kernels against dense reference loops: y (BTRAN of the basic
+// costs), w (FTRAN of the entering column) and rho (BTRAN of the leaving
+// row) must match on every nonzero to the bit, wNZ must list exactly the
+// nonzeros of w in ascending order, and the leaving row must be the one
+// the dense ratio test picks, under both tie-break rules. Pivots append
+// to the eta file and trigger mid-solve refactorisations as in a real
+// solve.
+func TestSparseKernelsMatchDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var pivots, refactors, etaPivots, phase1 int
+	for trial := 0; trial < 40; trial++ {
+		mdl := randomMixedModel(rng, trial%2 == 1)
+		ws := NewWorkspace()
+		ws.compile(mdl, 0)
+		ws.ensureIterState()
+		ws.rng = newXorshift(uint64(trial) + 1)
+		m := ws.m
+		for i := 0; i < m; i++ {
+			code := ws.n + 2*i
+			if ws.rhs[i] < 0 || (ws.rhs[i] == 0 && ws.sense[i] == GE) {
+				code++
+			}
+			ws.basis[i] = code
+			ws.basisPos[code] = i
+			ws.xb[i] = math.Abs(ws.rhs[i])
+			if ws.isArtificial(code) {
+				ws.artRow[i] = true
+				ws.nart++
+			}
+		}
+		if !ws.factorize() {
+			t.Fatalf("trial %d: unit basis reported singular", trial)
+		}
+		phase := 2
+		if ws.nart > 0 {
+			phase = 1
+		}
+		ws.setPhase(phase)
+		yRef := make([]float64, m)
+		rhoRef := make([]float64, m)
+		z := make([]float64, m)
+		for iter := 0; iter < 5000; iter++ {
+			if ws.phase == 1 && ws.objValue() <= feasTol/2 {
+				ws.setPhase(2)
+			}
+			copy(z, ws.cb[:m])
+			refBtran(&ws.lu, z, yRef)
+			ws.computeY()
+			sameNonzeros(t, "y", ws.y[:m], yRef)
+
+			mode := pricingDantzig
+			if iter%7 == 6 {
+				mode = pricingRandom
+			}
+			enter := ws.chooseEntering(mode)
+			if enter < 0 {
+				break
+			}
+			wRef := refFtran(ws, enter)
+			ws.ftran(enter)
+			sameNonzeros(t, "w", ws.w[:m], wRef)
+			var want []int32
+			for i, v := range wRef {
+				if v != 0 {
+					want = append(want, int32(i))
+				}
+			}
+			if !slices.Equal(ws.wNZ, want) {
+				t.Fatalf("trial %d iter %d: wNZ = %v, nonzeros of w %v", trial, iter, ws.wNZ, want)
+			}
+			if got, ref := ws.chooseLeaving(true), refChooseLeaving(ws, wRef, true); got != ref {
+				t.Fatalf("trial %d iter %d: Bland leaving row %d, dense reference %d", trial, iter, got, ref)
+			}
+			leave := ws.chooseLeaving(false)
+			if ref := refChooseLeaving(ws, wRef, false); leave != ref {
+				t.Fatalf("trial %d iter %d: leaving row %d, dense reference %d", trial, iter, leave, ref)
+			}
+			if leave < 0 {
+				break
+			}
+			for i := range z {
+				z[i] = 0
+			}
+			z[leave] = 1
+			refBtran(&ws.lu, z, rhoRef)
+			ws.loadRho(leave)
+			sameNonzeros(t, "rho", ws.rho[:m], rhoRef)
+			// loadRho reused the scratch that held wNZ; refresh it.
+			ws.ftran(enter)
+
+			if ws.phase == 1 {
+				phase1++
+			}
+			if ws.lu.etas() > 0 {
+				etaPivots++
+			}
+			before := ws.stats.Refactorizations
+			ws.pivot(leave, enter)
+			if ws.luBad {
+				t.Fatalf("trial %d iter %d: refactorisation reported singular", trial, iter)
+			}
+			refactors += ws.stats.Refactorizations - before
+			pivots++
+		}
+		for i, v := range ws.btmp[:m] {
+			if v != 0 {
+				t.Fatalf("trial %d: BTRAN left btmp[%d] = %v", trial, i, v)
+			}
+		}
+	}
+	t.Logf("%d pivots (%d in phase 1, %d on an eta file), %d mid-solve refactorisations", pivots, phase1, etaPivots, refactors)
+	if pivots < 500 || phase1 == 0 || etaPivots == 0 || refactors == 0 {
+		t.Fatalf("coverage too thin: %d pivots, %d in phase 1, %d on an eta file, %d refactorisations",
+			pivots, phase1, etaPivots, refactors)
 	}
 }

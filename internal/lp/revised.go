@@ -3,12 +3,25 @@ package lp
 // The revised simplex engine. The constraint matrix is compiled once
 // per solve into column-wise sparse storage; iterations maintain the
 // basis as a sparse LU factorisation plus a product-form eta file (see
-// lu.go) and the basic-value vector. FTRAN and BTRAN are sparse
+// lu.go) and the basic-value vector. FTRAN and BTRAN are hypersparse
 // triangular solves through L, U and the etas; pivots append one eta
 // column instead of updating an inverse, and the factors are rebuilt
 // from scratch only when the eta file outgrows them or the basic
 // values drift. Logical columns — slack, surplus and artificial — are
 // implicit unit columns and never stored.
+//
+// An iteration costs the entries it touches rather than m: computeY
+// and loadRho hand BTRAN only their nonzero slots (cbNZ lists the
+// nonzero basic costs), and FTRAN returns the ascending nonzero slots
+// of w (wNZ), which the ratio test, the basic-value update and the eta
+// append walk instead of all m rows. The solves compute every nonzero
+// with the same floating-point operations in the same order as dense
+// loops would, so pivots, iteration counts, X, Objective and Basis are
+// those of a dense engine; only an exact-zero entry of y may carry the
+// other sign, so a zero Solution.Dual may read -0 where a dense solve
+// gave +0 or the reverse. Nothing depends on that sign: pricing and
+// the ratio tests compare values, and the callers read duals only
+// through comparisons or math.Max(0, ·) (DESIGN.md §5).
 //
 // Column code space, for n structural variables and m rows:
 //
@@ -28,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -88,11 +102,13 @@ type Workspace struct {
 	basisPos []int     // column code -> basis row, or -1
 	xb       []float64 // basic variable values
 	cb       []float64 // basic costs under the current phase
+	cbNZ     []int32   // ascending slots where cb is nonzero
 	y        []float64 // simplex multipliers c_B . B^-1
 	w        []float64 // FTRAN result B^-1 . A_enter
+	wNZ      []int32   // ascending nonzero slots of w (lu scratch; see ftran)
 	rho      []float64 // a row of B^-1 (dual simplex, eviction)
-	ftmp     []float64 // FTRAN right-hand-side scratch (row space)
-	btmp     []float64 // BTRAN input scratch (slot space)
+	ftmp     []float64 // dense right-hand-side scratch (row space)
+	btmp     []float64 // BTRAN input scratch (slot space), zero outside a BTRAN
 	artRow   []bool    // row's basic column is an artificial (ratio-test pinning)
 	nart     int       // number of basic artificials
 	luBad    bool      // a mid-solve refactorisation failed; bail out
@@ -251,11 +267,15 @@ func (ws *Workspace) ensureIterState() {
 	ws.basisPos = growI(ws.basisPos, n+2*m)
 	ws.xb = growF(ws.xb, m)
 	ws.cb = growF(ws.cb, m)
+	ws.cbNZ = growI32(ws.cbNZ, m)[:0]
 	ws.y = growF(ws.y, m)
 	ws.w = growF(ws.w, m)
 	ws.rho = growF(ws.rho, m)
 	ws.ftmp = growF(ws.ftmp, m)
 	ws.btmp = growF(ws.btmp, m)
+	// btran leaves btmp zero; clearing it per solve as well keeps a
+	// solve that panicked mid-BTRAN from poisoning the next one.
+	clear(ws.btmp)
 	if cap(ws.artRow) < m {
 		ws.artRow = make([]bool, m)
 	}
@@ -322,28 +342,49 @@ func (ws *Workspace) costOf(code int) float64 {
 
 func (ws *Workspace) setPhase(p int) {
 	ws.phase = p
+	ws.cbNZ = ws.cbNZ[:0]
 	for i := 0; i < ws.m; i++ {
-		ws.cb[i] = ws.costOf(ws.basis[i])
+		c := ws.costOf(ws.basis[i])
+		ws.cb[i] = c
+		if c != 0 {
+			ws.cbNZ = append(ws.cbNZ, int32(i))
+		}
+	}
+}
+
+// setCost sets the basic cost of slot i and keeps cbNZ in step.
+func (ws *Workspace) setCost(i int, c float64) {
+	was := ws.cb[i] != 0
+	ws.cb[i] = c
+	if was == (c != 0) {
+		return
+	}
+	at, _ := slices.BinarySearch(ws.cbNZ, int32(i))
+	if c != 0 {
+		ws.cbNZ = slices.Insert(ws.cbNZ, at, int32(i))
+	} else {
+		ws.cbNZ = slices.Delete(ws.cbNZ, at, at+1)
 	}
 }
 
 func (ws *Workspace) objValue() float64 {
 	v := 0.0
-	for i := 0; i < ws.m; i++ {
-		if c := ws.cb[i]; c != 0 {
-			v += c * ws.xb[i]
-		}
+	for _, i := range ws.cbNZ {
+		v += ws.cb[i] * ws.xb[i]
 	}
 	return v
 }
 
 // computeY prices the basis: y = c_B . B^-1, one BTRAN through the eta
-// file and the transposed LU factors.
+// file and the transposed LU factors, loaded with the nonzero basic
+// costs only.
 func (ws *Workspace) computeY() {
-	m := ws.m
-	z := ws.btmp[:m]
-	copy(z, ws.cb[:m])
-	ws.lu.btran(z, ws.y[:m])
+	f := &ws.lu
+	for _, i := range ws.cbNZ {
+		ws.btmp[i] = ws.cb[i]
+	}
+	f.nzList = append(f.nzList[:0], ws.cbNZ...)
+	f.btran(ws.btmp[:ws.m], ws.y[:ws.m])
 }
 
 // reducedCost returns d_j = c_j - y.A_j for the current phase; callers
@@ -359,35 +400,26 @@ func (ws *Workspace) reducedCost(code int) float64 {
 	return ws.costOf(code) - ws.unitSign(code)*ws.y[ws.unitRow(code)]
 }
 
-// ftran computes w = B^-1 . A_code: scatter the sparse column, solve
-// through L and U, then apply the eta file.
+// ftran computes w = B^-1 . A_code: load the sparse column, solve
+// through L, U and the eta file, and keep w's nonzero slots in wNZ.
 func (ws *Workspace) ftran(code int) {
-	m := ws.m
-	a := ws.ftmp[:m]
-	for i := range a {
-		a[i] = 0
-	}
+	f := &ws.lu
 	if code >= ws.n {
-		a[ws.unitRow(code)] = ws.unitSign(code)
+		f.ftranLoad(int32(ws.unitRow(code)), ws.unitSign(code))
 	} else {
 		for e := ws.colPtr[code]; e < ws.colPtr[code+1]; e++ {
-			a[ws.colRow[e]] = ws.colVal[e]
+			f.ftranLoad(ws.colRow[e], ws.colVal[e])
 		}
 	}
-	ws.lu.lowerSolve(a)
-	ws.lu.upperSolve(a, ws.w[:m])
-	ws.lu.applyEtas(ws.w[:m])
+	ws.wNZ = f.ftran(ws.w[:ws.m])
 }
 
 // loadRho extracts row r of B^-1 into ws.rho (a BTRAN of e_r).
 func (ws *Workspace) loadRho(r int) {
-	m := ws.m
-	z := ws.btmp[:m]
-	for i := range z {
-		z[i] = 0
-	}
-	z[r] = 1
-	ws.lu.btran(z, ws.rho[:m])
+	f := &ws.lu
+	ws.btmp[r] = 1
+	f.nzList = append(f.nzList[:0], int32(r))
+	f.btran(ws.btmp[:ws.m], ws.rho[:ws.m])
 }
 
 // rhoDot returns rho . A_code.
@@ -402,31 +434,30 @@ func (ws *Workspace) rhoDot(code int) float64 {
 	return acc
 }
 
-// pivot brings column enter (with its FTRAN image already in ws.w) into
-// the basis at row leave: update the basic values, append the pivot to
-// the eta file and refactorise if the file has outgrown the factors.
+// pivot brings column enter (with its FTRAN image already in ws.w and
+// ws.wNZ) into the basis at row leave: update the basic values, append
+// the pivot to the eta file and refactorise if the file has outgrown
+// the factors.
 func (ws *Workspace) pivot(leave, enter int) {
-	m := ws.m
-	w := ws.w[:m]
+	w := ws.w
 	inv := 1 / w[leave]
 	theta := ws.xb[leave] * inv
-	for i := 0; i < m; i++ {
+	for _, i32 := range ws.wNZ {
+		i := int(i32)
 		if i == leave {
 			continue
 		}
-		if w[i] != 0 {
-			ws.xb[i] -= theta * w[i]
-			if ws.xb[i] < 0 && ws.xb[i] > -Eps {
-				ws.xb[i] = 0
-			}
+		ws.xb[i] -= theta * w[i]
+		if ws.xb[i] < 0 && ws.xb[i] > -Eps {
+			ws.xb[i] = 0
 		}
 	}
 	ws.xb[leave] = theta
-	ws.lu.appendEta(w, leave)
+	ws.lu.appendEta(w, ws.wNZ, leave)
 	ws.basisPos[ws.basis[leave]] = -1
 	ws.basis[leave] = enter
 	ws.basisPos[enter] = leave
-	ws.cb[leave] = ws.costOf(enter)
+	ws.setCost(leave, ws.costOf(enter))
 	if ws.artRow[leave] {
 		// Entering columns are never artificial (canEnter), so a pivot
 		// can only shrink the artificial set.
@@ -602,11 +633,12 @@ func (ws *Workspace) chooseEntering(mode pricingMode) int {
 	}
 }
 
-// chooseLeaving runs a Harris-style two-pass ratio test over ws.w: find
-// the minimum ratio, then among rows within tolerance of it pick the
-// largest pivot element (numerical stability). In Bland mode the
-// tie-break switches to the smallest basis column code, which
-// guarantees termination under degeneracy.
+// chooseLeaving runs a Harris-style two-pass ratio test over the
+// nonzeros of ws.w (rows where w is zero never block): find the minimum
+// ratio, then among rows within tolerance of it pick the largest pivot
+// element, the first in row order on a tie (numerical stability). In
+// Bland mode the tie-break switches to the smallest basis column code,
+// which guarantees termination under degeneracy.
 //
 // Rows whose basic variable is an artificial sitting at zero are
 // pinned: the artificial must never move off zero again, so *any*
@@ -618,11 +650,11 @@ func (ws *Workspace) chooseEntering(mode pricingMode) int {
 // basic at zero (the redundant-constraint case). Such pivots are
 // degenerate but cannot cycle — an artificial never re-enters.
 func (ws *Workspace) chooseLeaving(bland bool) int {
-	m := ws.m
-	w := ws.w[:m]
+	w := ws.w
 	pinned := ws.nart > 0
 	bestRatio := math.Inf(1)
-	for i := 0; i < m; i++ {
+	for _, i32 := range ws.wNZ {
+		i := int(i32)
 		wi := w[i]
 		if pinned {
 			wi = ws.leaveCoef(i, wi)
@@ -640,7 +672,8 @@ func (ws *Workspace) chooseLeaving(bland bool) int {
 	tol := Eps * (1 + math.Abs(bestRatio))
 	best := -1
 	bestCoef := 0.0
-	for i := 0; i < m; i++ {
+	for _, i32 := range ws.wNZ {
+		i := int(i32)
 		wi := w[i]
 		if pinned {
 			wi = ws.leaveCoef(i, wi)

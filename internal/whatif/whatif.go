@@ -22,6 +22,7 @@ package whatif
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/heur"
+	"repro/internal/lp"
 	"repro/internal/steady"
 	"repro/internal/tree"
 )
@@ -493,7 +495,14 @@ func Stream(ctx context.Context, base *Baseline, scenarios []Scenario, cfg Confi
 					sev = base.Ev.Clone()
 				}
 				sev.SetStop(&stop)
-				results[i] = Eval(base, sev, g, scenarios[i])
+				res := Eval(base, sev, g, scenarios[i])
+				if errors.Is(res.Err, lp.ErrCanceled) && ctx.Err() != nil {
+					// The stop flag fired because ctx ended: report ctx's
+					// reason, like the scenarios drained after this one,
+					// not the solver's internal text.
+					res.Err = ctx.Err()
+				}
+				results[i] = res
 				effort[i] = sev.Stats()
 			}
 		})

@@ -357,3 +357,54 @@ func TestStreamCanceledDrains(t *testing.T) {
 		t.Errorf("lane wrapper ran %d times, want once per worker (2)", n)
 	}
 }
+
+// TestStreamCanceledMidSolve cancels a 2-worker Stream on the big
+// broadcast instance as soon as the first scenario is emitted, while
+// the workers are inside later solves. Every scenario after that either
+// completed or carries exactly the context's error: a solve the stop
+// flag aborted reports context.Canceled like the scenarios drained
+// after it, never the solver's own "lp: solve canceled (...)" text.
+// The 32 scenarios leave far more work than the workers can finish
+// before the first emit, so some are always cancelled.
+func TestStreamCanceledMidSolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiers-platform analysis is slow")
+	}
+	p, fail := bigBroadcastInstance(t, 32)
+	cfg := Config{NodeFailures: true, FailNodes: fail, Workers: 2}
+	base, err := NewBaseline(steady.NewEvaluator(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := Enumerate(p.G, p.Source, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var lines []string
+	Stream(ctx, base, scenarios, cfg, nil, func(r Result) {
+		cancel()
+		line := "ok"
+		if r.Err != nil {
+			line = r.Err.Error()
+		}
+		lines = append(lines, line)
+	})
+	if len(lines) != len(scenarios) {
+		t.Fatalf("emitted %d lines for %d scenarios", len(lines), len(scenarios))
+	}
+	if lines[0] != "ok" {
+		t.Fatalf("first scenario = %q, want a completed evaluation", lines[0])
+	}
+	canceled := 0
+	for i, line := range lines {
+		switch line {
+		case "ok":
+		case context.Canceled.Error():
+			canceled++
+		default:
+			t.Errorf("scenario %d reports %q, want %q or a completed evaluation", i, line, context.Canceled.Error())
+		}
+	}
+	if canceled == 0 {
+		t.Errorf("no scenario was canceled: %q", lines)
+	}
+}
