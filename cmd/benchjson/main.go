@@ -6,13 +6,19 @@
 // Usage:
 //
 //	go test -run='^$' -bench=. -benchtime=1x -benchmem ./... | benchjson -o BENCH_sweep.json
+//	for i in 1 2 3 4 5; do go test -run='^$' -bench=. -benchtime=1x -benchmem ./...; done | benchjson -o BENCH_sweep.json
 //	benchjson -o BENCH_sweep.json bench.out
 //	benchjson -compare [-tolerance 0.25] [-bytes-tolerance 0.35] [-min-ns 1000000] old.json new.json
 //
 // Every `BenchmarkName-P  N  <value> <unit> ...` line becomes one JSON
 // object; ns/op, B/op and allocs/op map to fixed fields, and every
 // other reported unit (the repo's benchmarks report reproduced paper
-// quantities and solver statistics) lands in the metrics map.
+// quantities and solver statistics) lands in the metrics map. The
+// repeated lines of one benchmark — from `go test -bench -count N`, or
+// from several passes concatenated — collapse into one object: the
+// median of ns/op, B/op, allocs/op, the iteration count and the
+// host-dependent rates, and the counters, which must agree across
+// repeats; benchjson fails, naming the counter, when they do not.
 //
 // The -compare mode is CI's bench-regression guard: it exits non-zero
 // when any benchmark present in both files has regressed its ns/op by
@@ -43,14 +49,17 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Entry is one benchmark result line.
+// Entry is one benchmark result: one line, or the median of the
+// repeats of one benchmark.
 type Entry struct {
 	Name        string             `json:"name"`
+	Runs        int                `json:"runs,omitempty"` // repeats collapsed into this entry, when more than one
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -262,14 +271,22 @@ func Compare(baseline, candidate []Entry, tolerance, bytesTol, minNs float64) (r
 	return report, regressions, removed
 }
 
-// Parse extracts benchmark entries from `go test -bench` output.
+// Parse extracts benchmark entries from `go test -bench` output, one
+// per benchmark and package in order of first appearance; the repeats
+// of a benchmark (-count N) collapse into one entry (see collapse).
 // Non-benchmark lines (headers, PASS/ok, compile chatter) are skipped.
 func Parse(r io.Reader) ([]Entry, error) {
-	var entries []Entry
+	var groups [][]Entry
+	index := map[string]int{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = p
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -277,9 +294,84 @@ func Parse(r io.Reader) ([]Entry, error) {
 		if !ok {
 			continue
 		}
+		key := pkg + " " + e.Name
+		if g, ok := index[key]; ok {
+			groups[g] = append(groups[g], e)
+			continue
+		}
+		index[key] = len(groups)
+		groups = append(groups, []Entry{e})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	entries := make([]Entry, 0, len(groups))
+	for _, g := range groups {
+		e, err := collapse(g)
+		if err != nil {
+			return nil, err
+		}
 		entries = append(entries, e)
 	}
-	return entries, sc.Err()
+	return entries, nil
+}
+
+// collapse merges the repeats of one benchmark into one entry: the
+// median of ns/op, B/op, allocs/op, the iteration count and every host
+// metric, and the counters, which repeats of the same work report
+// identically. A counter that differs between repeats, or that only
+// some repeats report, is an error: the repeats did different work,
+// and no single value would stand for them.
+func collapse(runs []Entry) (Entry, error) {
+	if len(runs) == 1 {
+		return runs[0], nil
+	}
+	first := runs[0]
+	e := Entry{
+		Name:        first.Name,
+		Runs:        len(runs),
+		Iterations:  int64(median(runs, func(r Entry) float64 { return float64(r.Iterations) })),
+		NsPerOp:     median(runs, func(r Entry) float64 { return r.NsPerOp }),
+		BytesPerOp:  median(runs, func(r Entry) float64 { return r.BytesPerOp }),
+		AllocsPerOp: median(runs, func(r Entry) float64 { return r.AllocsPerOp }),
+	}
+	var names []string
+	for _, r := range runs {
+		for k := range r.Metrics {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	for _, k := range slices.Compact(names) {
+		for i, r := range runs {
+			if _, ok := r.Metrics[k]; !ok {
+				return Entry{}, fmt.Errorf("%s: metric %s is missing from repeat %d of %d", e.Name, k, i+1, len(runs))
+			}
+			if a, b := first.Metrics[k], r.Metrics[k]; !hostMetrics[k] && a != b {
+				return Entry{}, fmt.Errorf("%s: counter %s differs between repeats: %g in repeat 1, %g in repeat %d", e.Name, k, a, b, i+1)
+			}
+		}
+		if e.Metrics == nil {
+			e.Metrics = map[string]float64{}
+		}
+		e.Metrics[k] = median(runs, func(r Entry) float64 { return r.Metrics[k] })
+	}
+	return e, nil
+}
+
+// median returns the median of f over the entries: the middle value,
+// or the mean of the two middle values of an even count.
+func median(runs []Entry, f func(Entry) float64) float64 {
+	v := make([]float64, len(runs))
+	for i, r := range runs {
+		v[i] = f(r)
+	}
+	sort.Float64s(v)
+	mid := len(v) / 2
+	if len(v)%2 == 1 {
+		return v[mid]
+	}
+	return (v[mid-1] + v[mid]) / 2
 }
 
 // parseLine parses one line of the form

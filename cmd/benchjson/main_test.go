@@ -63,6 +63,57 @@ func TestParseKeepsHyphenatedNames(t *testing.T) {
 	}
 }
 
+// TestParseCollapsesRepeats: the repeats of `go test -count N` become
+// one entry per benchmark and package, with the median of ns/op, B/op,
+// allocs/op and the host rates, the counters as reported, and the
+// number of repeats.
+func TestParseCollapsesRepeats(t *testing.T) {
+	const out = `pkg: repro
+BenchmarkSweep-2   1   300 ns/op   7 simplex-iters   2.0 req/s   90 B/op   3 allocs/op
+BenchmarkSweep-2   1   100 ns/op   7 simplex-iters   9.0 req/s   70 B/op   1 allocs/op
+BenchmarkSweep-2   1   200 ns/op   7 simplex-iters   4.0 req/s   80 B/op   2 allocs/op
+BenchmarkOnce-2    1   500 ns/op
+pkg: repro/internal/lp
+BenchmarkSweep-2   1   40 ns/op    5 simplex-iters
+BenchmarkSweep-2   1   60 ns/op    5 simplex-iters
+`
+	entries, err := Parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{
+		{
+			Name: "BenchmarkSweep", Runs: 3, Iterations: 1, NsPerOp: 200, BytesPerOp: 80, AllocsPerOp: 2,
+			Metrics: map[string]float64{"simplex-iters": 7, "req/s": 4},
+		},
+		{Name: "BenchmarkOnce", Iterations: 1, NsPerOp: 500},
+		{
+			Name: "BenchmarkSweep", Runs: 2, Iterations: 1, NsPerOp: 50,
+			Metrics: map[string]float64{"simplex-iters": 5},
+		},
+	}
+	if !reflect.DeepEqual(entries, want) {
+		t.Errorf("collapsed entries:\ngot:  %+v\nwant: %+v", entries, want)
+	}
+}
+
+// TestParseRejectsCounterDrift: repeats that report different counters
+// did different work, so Parse fails and names the counter, rather
+// than letting one repeat stand for the others.
+func TestParseRejectsCounterDrift(t *testing.T) {
+	for _, tc := range []struct{ out, want string }{
+		{"BenchmarkA 1 10 ns/op 104 simplex-iters 3 req/s\nBenchmarkA 1 12 ns/op 105 simplex-iters 5 req/s\n",
+			"counter simplex-iters differs between repeats: 104 in repeat 1, 105 in repeat 2"},
+		{"BenchmarkA 1 10 ns/op 104 simplex-iters\nBenchmarkA 1 12 ns/op\n",
+			"metric simplex-iters is missing from repeat 2 of 2"},
+	} {
+		_, err := Parse(strings.NewReader(tc.out))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse error %v, want one containing %q", err, tc.want)
+		}
+	}
+}
+
 func entry(name string, ns float64) Entry {
 	return Entry{Name: name, Iterations: 1, NsPerOp: ns}
 }

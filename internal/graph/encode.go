@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,6 +55,10 @@ func (g *Graph) String() string {
 func Decode(r io.Reader) (*Graph, error) {
 	g := New()
 	sc := bufio.NewScanner(r)
+	// No line cap but the input's own length: with bufio's default 64 KiB
+	// cap, a graph read from lines just under it could encode to lines
+	// over it (Encode spells a cost of 1e5 as 100000) and fail to decode.
+	sc.Buffer(nil, math.MaxInt)
 	getNode := func(name string) NodeID {
 		if id, ok := g.NodeByName(name); ok {
 			return id
@@ -85,8 +90,9 @@ func Decode(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad cost %q: %v", lineNo, fields[3], err)
 			}
-			if cost <= 0 {
-				return nil, fmt.Errorf("graph: line %d: cost must be positive", lineNo)
+			// ParseFloat accepts NaN and ±Inf; none is a usable cost.
+			if !(cost > 0) || math.IsInf(cost, 1) {
+				return nil, fmt.Errorf("graph: line %d: cost must be positive and finite, got %q", lineNo, fields[3])
 			}
 			from, to := getNode(fields[1]), getNode(fields[2])
 			if from == to {

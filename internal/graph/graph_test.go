@@ -10,6 +10,10 @@ import (
 
 func diamond(t *testing.T) (*Graph, NodeID, NodeID, NodeID, NodeID) {
 	t.Helper()
+	return newDiamond()
+}
+
+func newDiamond() (*Graph, NodeID, NodeID, NodeID, NodeID) {
 	g := New()
 	s := g.AddNode("S")
 	a := g.AddNode("A")
@@ -257,6 +261,40 @@ func TestDecodeErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Decode(strings.NewReader(src)); err == nil {
 			t.Errorf("Decode(%q): expected error", src)
+		}
+	}
+}
+
+// TestDecodeLongLinesRoundTrip: a graph decoded from a line of just
+// under 64 KiB re-decodes from its encoding, whose edge line is longer
+// than the input's.
+func TestDecodeLongLinesRoundTrip(t *testing.T) {
+	a, b := strings.Repeat("a", 32762), strings.Repeat("b", 32763)
+	g, err := Decode(strings.NewReader("edge " + a + " " + b + " 1e5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := g.String()
+	g2, err := Decode(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("re-decoding %d bytes: %v", len(text), err)
+	}
+	if g2.String() != text {
+		t.Fatal("round trip changed the text")
+	}
+}
+
+// TestDecodeRejectsNonFiniteCosts pins that costs ParseFloat accepts
+// but AddEdge cannot take come back as Decode's line-numbered error,
+// not as a panic.
+func TestDecodeRejectsNonFiniteCosts(t *testing.T) {
+	for _, cost := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e400"} {
+		for _, dir := range []string{"edge", "link"} {
+			src := "node a\n" + dir + " a b " + cost + "\n"
+			_, err := Decode(strings.NewReader(src))
+			if err == nil || !strings.Contains(err.Error(), "line 2") {
+				t.Errorf("Decode(%q) = %v, want a line 2 error", src, err)
+			}
 		}
 	}
 }

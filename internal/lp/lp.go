@@ -20,11 +20,15 @@
 // FTRAN/BTRAN are sparse triangular solves, a pivot appends one eta
 // column, and the factors are rebuilt only on eta-file overflow or
 // detected drift. Entering columns come from a partial-pricing
-// candidate list. A Workspace owns every scratch allocation — the LU
-// factors, the eta file, iterate vectors and the compiled column
-// store — and is reusable across solves, so hot loops (cutting planes,
-// column generation, heuristic search) stop paying allocation and
-// phase-1 costs on every re-solve:
+// candidate list, refilled — like the anti-cycling rules and the dual
+// ratio test — by pricing only the columns that the nonzero rows of y
+// (or of a row of B⁻¹) touch, through a row-wise copy of the matrix;
+// the values and pivots are exactly those of pricing every column. A
+// Workspace owns every scratch allocation — the LU factors, the eta
+// file, iterate vectors and the compiled column and row stores — and
+// is reusable across solves, so hot loops (cutting planes, column
+// generation, heuristic search) stop paying allocation and phase-1
+// costs on every re-solve:
 //
 //   - Solve() is the one-shot entry point (fresh workspace, cold start).
 //   - SolveWith(ws) reuses a workspace's allocations but still starts

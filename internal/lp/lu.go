@@ -47,6 +47,10 @@ package lp
 //     for the ratio test, the basic-value update and appendEta. Once
 //     the eta file has touched m entries, a scan of w is cheaper than
 //     more marks, and ftran scans instead.
+//   - btran's Lᵀ pass finishes a row of y when it takes that row's
+//     step, so it marks the rows that end nonzero and returns the
+//     marks, read back word by word, as y's ascending nonzero rows:
+//     the rows that row-wise pricing walks (priceRows in revised.go).
 //
 // Exactness: every nonzero is computed by the same floating-point
 // operations in the same order as the dense loops, because the skipped
@@ -621,7 +625,8 @@ func (f *luFactor) ftran(w []float64) []int32 {
 // btran solves y·B = c. The caller loads c into the slot-space vector
 // z, which is zero elsewhere, and lists the loaded slots in ascending
 // order in nzList; btran consumes the list and leaves z all zero. y is
-// cleared and receives the row-space result.
+// cleared and receives the row-space result, and y's nonzero rows are
+// returned in ascending order, in nz's storage.
 //
 // The eta file is applied in reverse. An eta's dot product sums
 // z_i·eta_i over its ascending slots: the whole eta when it is short
@@ -629,8 +634,10 @@ func (f *luFactor) ftran(w []float64) []int32 {
 // search. Either way it adds the same nonzero terms in the same order
 // as the full sum. The transposed U solve then takes the reached
 // elimination steps in ascending order and the transposed L solve in
-// descending order, scattering through the row-wise copies.
-func (f *luFactor) btran(z, y []float64) {
+// descending order, scattering through the row-wise copies. A row's
+// value is final when the Lᵀ pass takes its step, so the pass marks the
+// nonzero ones and the marks, read word by word, are the list.
+func (f *luFactor) btran(z, y []float64, nz []int32) []int32 {
 	clear(y)
 	list := f.nzList // ascending; mark holds its slots
 	for _, s := range list {
@@ -702,12 +709,24 @@ func (f *luFactor) btran(z, y []float64) {
 		if v == 0 {
 			continue
 		}
+		setBit(f.mark, f.rowOf[j])
 		for e := f.ltPtr[j]; e < f.ltPtr[j+1]; e++ {
 			i := f.ltRow[e]
 			y[i] -= f.ltVal[e] * v
 			f.push(f.rowInv[i])
 		}
 	}
+	nz = nz[:0]
+	for wi, word := range f.mark {
+		if word == 0 {
+			continue
+		}
+		f.mark[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			nz = append(nz, int32(wi<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return nz
 }
 
 // appendEta records one pivot: the FTRAN image w of the entering column,

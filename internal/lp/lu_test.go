@@ -277,7 +277,7 @@ func btranDense(ws *Workspace, c, y []float64) {
 			f.nzList = append(f.nzList, int32(i))
 		}
 	}
-	f.btran(z, y)
+	f.btran(z, y, nil)
 }
 
 // refBtran is a dense BTRAN, the reference for btran: the reverse eta

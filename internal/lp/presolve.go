@@ -914,9 +914,7 @@ func (ws *Workspace) postsolve(mdl *Model, rsol *Solution) *Solution {
 		}
 	}
 	if ok {
-		cols := make([]int, m)
-		copy(cols, basisOf)
-		sol.Basis = Basis{cols: cols, valid: true}
+		sol.Basis = Basis{cols: basisOf, valid: true}
 	}
 	return sol
 }

@@ -1,27 +1,38 @@
 package lp
 
 // The revised simplex engine. The constraint matrix is compiled once
-// per solve into column-wise sparse storage; iterations maintain the
-// basis as a sparse LU factorisation plus a product-form eta file (see
-// lu.go) and the basic-value vector. FTRAN and BTRAN are hypersparse
-// triangular solves through L, U and the etas; pivots append one eta
-// column instead of updating an inverse, and the factors are rebuilt
-// from scratch only when the eta file outgrows them or the basic
-// values drift. Logical columns — slack, surplus and artificial — are
-// implicit unit columns and never stored.
+// per solve into column-wise sparse storage, plus a row-wise copy for
+// pricing; iterations maintain the basis as a sparse LU factorisation
+// plus a product-form eta file (see lu.go) and the basic-value vector.
+// FTRAN and BTRAN are hypersparse triangular solves through L, U and
+// the etas; pivots append one eta column instead of updating an
+// inverse, and the factors are rebuilt from scratch only when the eta
+// file outgrows them or the basic values drift. Logical columns —
+// slack, surplus and artificial — are implicit unit columns and never
+// stored.
 //
-// An iteration costs the entries it touches rather than m: computeY
-// and loadRho hand BTRAN only their nonzero slots (cbNZ lists the
-// nonzero basic costs), and FTRAN returns the ascending nonzero slots
+// An iteration costs the entries it touches rather than m or n:
+// computeY and loadRho hand BTRAN only their nonzero slots (cbNZ lists
+// the nonzero basic costs), BTRAN returns the ascending nonzero rows of
+// y and rho (yNZ, rhoNZ), and FTRAN returns the ascending nonzero slots
 // of w (wNZ), which the ratio test, the basic-value update and the eta
-// append walk instead of all m rows. The solves compute every nonzero
-// with the same floating-point operations in the same order as dense
-// loops would, so pivots, iteration counts, X, Objective and Basis are
-// those of a dense engine; only an exact-zero entry of y may carry the
-// other sign, so a zero Solution.Dual may read -0 where a dense solve
-// gave +0 or the reverse. Nothing depends on that sign: pricing and
-// the ratio tests compare values, and the callers read duals only
-// through comparisons or math.Max(0, ·) (DESIGN.md §5).
+// append walk instead of all m rows. Pricing (priceRows) walks y's or
+// rho's nonzero rows through the row-wise copy (rowPtr, rowCol,
+// rowEnt) and forms y.A_j only for the columns those rows touch, not
+// for all n: ~79 entries per Dantzig refill on the Figure 11 programs
+// against ~2,400 columns for a scan. Only a dense y sends the Dantzig
+// refill back to its circular column scan (see chooseEntering).
+//
+// The solves compute every nonzero with the same floating-point
+// operations in the same order as dense loops would, and pricing
+// subtracts each column's terms in ascending row order, as its column
+// loop does, skipping only terms with y_i = 0: pivots, iteration
+// counts, X, Objective and Basis are those of a dense engine; only an
+// exact-zero entry of y may carry the other sign, so a zero
+// Solution.Dual may read -0 where a dense solve gave +0 or the
+// reverse. Nothing depends on that sign: pricing and the ratio tests
+// compare values, and the callers read duals only through comparisons
+// or math.Max(0, ·) (DESIGN.md §5).
 //
 // Column code space, for n structural variables and m rows:
 //
@@ -41,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
@@ -53,6 +65,11 @@ const blandEps = 1e-8
 // stops scanning once it has collected this many improving columns
 // (or proved optimality by a full wrap).
 const candCap = 64
+
+// rowPriceRatio picks how the Dantzig rule refills its candidate list:
+// through y's nonzero rows while y has at most one nonzero row in
+// rowPriceRatio, by the circular column scan when y is denser.
+const rowPriceRatio = 8
 
 // driftCheckEvery is the primal iteration interval of the basic-value
 // drift check (a residual ||B·x_B - b||_inf against the compiled
@@ -96,6 +113,14 @@ type Workspace struct {
 	rhs    []float64
 	sense  []Sense
 
+	// The same entries laid out by row, for row-wise pricing: row i's
+	// entries are rowPtr[i]..rowPtr[i+1], each a column and the index of
+	// its value in colVal, in ascending column order.
+	rowPtr  []int32
+	rowCol  []int32
+	rowEnt  []int32
+	negCost []int32 // ascending structural columns with cost below -Eps
+
 	// Factorisation and iterate state.
 	lu       luFactor  // sparse basis factorisation + eta file
 	basis    []int     // column code per row
@@ -104,9 +129,11 @@ type Workspace struct {
 	cb       []float64 // basic costs under the current phase
 	cbNZ     []int32   // ascending slots where cb is nonzero
 	y        []float64 // simplex multipliers c_B . B^-1
+	yNZ      []int32   // ascending nonzero rows of y (see btran)
 	w        []float64 // FTRAN result B^-1 . A_enter
 	wNZ      []int32   // ascending nonzero slots of w (lu scratch; see ftran)
 	rho      []float64 // a row of B^-1 (dual simplex, eviction)
+	rhoNZ    []int32   // ascending nonzero rows of rho
 	ftmp     []float64 // dense right-hand-side scratch (row space)
 	btmp     []float64 // BTRAN input scratch (slot space), zero outside a BTRAN
 	artRow   []bool    // row's basic column is an artificial (ratio-test pinning)
@@ -117,6 +144,14 @@ type Workspace struct {
 	// rolling scan cursor, both reset at every solve.
 	cand        []int32
 	priceCursor int
+
+	// Row-wise pricing (priceRows): the per-column accumulator, the
+	// bitset of the columns it touched, and the priced columns with
+	// their values in ascending code order.
+	dj        []float64
+	djMark    []uint64
+	priced    []int32
+	pricedVal []float64
 
 	// Compilation scratch.
 	stamp []int32
@@ -257,6 +292,34 @@ func (ws *Workspace) compile(mdl *Model, perturb float64) {
 			next[t.Var] = e + 1
 		}
 	}
+
+	// The row-wise copy, by counting sort. rowPtr[i+1] is row i's fill
+	// cursor and ends at the row's end, so no other cursor is needed.
+	ws.rowPtr = growI32(ws.rowPtr, m+2)
+	clear(ws.rowPtr)
+	for _, i := range ws.colRow[:nnz] {
+		ws.rowPtr[i+2]++
+	}
+	for i := 2; i < m+2; i++ {
+		ws.rowPtr[i] += ws.rowPtr[i-1]
+	}
+	ws.rowCol = growI32(ws.rowCol, nnz)
+	ws.rowEnt = growI32(ws.rowEnt, nnz)
+	for j := 0; j < n; j++ {
+		for e := ws.colPtr[j]; e < ws.colPtr[j+1]; e++ {
+			at := ws.rowPtr[ws.colRow[e]+1]
+			ws.rowCol[at] = int32(j)
+			ws.rowEnt[at] = e
+			ws.rowPtr[ws.colRow[e]+1] = at + 1
+		}
+	}
+	ws.rowPtr = ws.rowPtr[:m+1]
+	ws.negCost = ws.negCost[:0]
+	for j, c := range ws.obj[:n] {
+		if c < -Eps {
+			ws.negCost = append(ws.negCost, int32(j))
+		}
+	}
 }
 
 // ensureIterState sizes the factorisation and iterate arrays for the
@@ -271,6 +334,15 @@ func (ws *Workspace) ensureIterState() {
 	ws.y = growF(ws.y, m)
 	ws.w = growF(ws.w, m)
 	ws.rho = growF(ws.rho, m)
+	ws.dj = growF(ws.dj, n)
+	if nw := (n + 63) / 64; cap(ws.djMark) < nw {
+		ws.djMark = make([]uint64, nw)
+	} else {
+		ws.djMark = ws.djMark[:nw]
+	}
+	// priceRows leaves the marks clear; clearing them per solve as well
+	// keeps a solve that panicked mid-pricing from poisoning the next.
+	clear(ws.djMark)
 	ws.ftmp = growF(ws.ftmp, m)
 	ws.btmp = growF(ws.btmp, m)
 	// btran leaves btmp zero; clearing it per solve as well keeps a
@@ -377,14 +449,14 @@ func (ws *Workspace) objValue() float64 {
 
 // computeY prices the basis: y = c_B . B^-1, one BTRAN through the eta
 // file and the transposed LU factors, loaded with the nonzero basic
-// costs only.
+// costs only; yNZ receives y's ascending nonzero rows.
 func (ws *Workspace) computeY() {
 	f := &ws.lu
 	for _, i := range ws.cbNZ {
 		ws.btmp[i] = ws.cb[i]
 	}
 	f.nzList = append(f.nzList[:0], ws.cbNZ...)
-	f.btran(ws.btmp[:ws.m], ws.y[:ws.m])
+	ws.yNZ = f.btran(ws.btmp[:ws.m], ws.y[:ws.m], ws.yNZ)
 }
 
 // reducedCost returns d_j = c_j - y.A_j for the current phase; callers
@@ -414,24 +486,89 @@ func (ws *Workspace) ftran(code int) {
 	ws.wNZ = f.ftran(ws.w[:ws.m])
 }
 
-// loadRho extracts row r of B^-1 into ws.rho (a BTRAN of e_r).
+// loadRho extracts row r of B^-1 into ws.rho (a BTRAN of e_r) and its
+// ascending nonzero rows into rhoNZ.
 func (ws *Workspace) loadRho(r int) {
 	f := &ws.lu
 	ws.btmp[r] = 1
 	f.nzList = append(f.nzList[:0], int32(r))
-	f.btran(ws.btmp[:ws.m], ws.rho[:ws.m])
+	ws.rhoNZ = f.btran(ws.btmp[:ws.m], ws.rho[:ws.m], ws.rhoNZ)
 }
 
-// rhoDot returns rho . A_code.
-func (ws *Workspace) rhoDot(code int) float64 {
-	if code >= ws.n {
-		return ws.unitSign(code) * ws.rho[ws.unitRow(code)]
+// priceRows prices through the row-wise copy of A and lists, in
+// ascending code order, the nonbasic columns that may enter and price
+// in: for v = y with cost set, those whose reduced cost c_j - y.A_j is
+// below -Eps; for v = rho without cost, those whose alpha_j = rho.A_j
+// is below -Eps. priced receives their codes and pricedVal the reduced
+// cost or alpha_j. nz lists v's nonzero rows in ascending order. Only
+// the structural columns those rows touch, the slacks of those rows
+// and, with cost in phase 2, the columns of cost below -Eps can price
+// in: every other column's value is its cost, at least -Eps, or zero.
+//
+// Each column's terms are subtracted in ascending row order, as the
+// column loop of reducedCost subtracts them, and only terms with v_i = 0
+// are skipped, which subtract an exact zero. A reduced cost is
+// therefore bit-identical to the column loop's; alpha_j, formed as
+// -(0 - sum), is bit-identical to the column sum 0 + sum, because
+// rounding to nearest is symmetric. (Only a zero could differ, in its
+// sign, and no zero prices in.)
+func (ws *Workspace) priceRows(v []float64, nz []int32, cost bool) {
+	n := ws.n
+	sign := 1.0 // d_j as accumulated; -1 turns -(rho.A_j) into alpha_j
+	if !cost {
+		sign = -1
 	}
-	acc := 0.0
-	for e := ws.colPtr[code]; e < ws.colPtr[code+1]; e++ {
-		acc += ws.rho[ws.colRow[e]] * ws.colVal[e]
+	// Structural columns cost nothing in phase 1.
+	objCost := cost && ws.phase == 2
+	if objCost {
+		for _, j := range ws.negCost {
+			ws.dj[j] = ws.obj[j]
+			setBit(ws.djMark, j)
+		}
 	}
-	return acc
+	for _, i := range nz {
+		vi := v[i]
+		for e := ws.rowPtr[i]; e < ws.rowPtr[i+1]; e++ {
+			j := ws.rowCol[e]
+			if !hasBit(ws.djMark, j) {
+				setBit(ws.djMark, j)
+				ws.dj[j] = 0
+				if objCost {
+					ws.dj[j] = ws.obj[j]
+				}
+			}
+			ws.dj[j] -= vi * ws.colVal[ws.rowEnt[e]]
+		}
+	}
+	ws.priced, ws.pricedVal = ws.priced[:0], ws.pricedVal[:0]
+	for wi, word := range ws.djMark {
+		if word == 0 {
+			continue
+		}
+		ws.djMark[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			j := wi<<6 + bits.TrailingZeros64(word)
+			if d := sign * ws.dj[j]; d < -Eps && ws.basisPos[j] < 0 {
+				ws.priced = append(ws.priced, int32(j))
+				ws.pricedVal = append(ws.pricedVal, d)
+			}
+		}
+	}
+	for _, i := range nz {
+		code := n + 2*int(i)
+		switch ws.sense[i] {
+		case EQ:
+			continue
+		case GE:
+			code++
+		}
+		// A slack costs 0 in both phases: 0 - sign.y_i, as reducedCost,
+		// or alpha = sign.rho_i.
+		if d := sign * (0 - ws.unitSign(code)*v[i]); d < -Eps && ws.basisPos[code] < 0 {
+			ws.priced = append(ws.priced, int32(code))
+			ws.pricedVal = append(ws.pricedVal, d)
+		}
+	}
 }
 
 // pivot brings column enter (with its FTRAN image already in ws.w and
@@ -555,34 +692,37 @@ const (
 // circular scan from a rolling cursor refills it with up to candCap
 // improving columns (continuing all the way around when none appear,
 // so returning -1 still proves optimality). Cold solves therefore stop
-// paying a full column scan per pivot. The random and Bland
-// anti-cycling modes keep their full scans — their termination
-// guarantees depend on seeing every column.
+// paying a full column scan per pivot.
+//
+// Outside the candidate list, pricing goes through y's nonzero rows
+// (priceRows) rather than every column: only the columns those rows
+// touch, the slacks of those rows and, in phase 2, the columns of cost
+// below -Eps can price in. The random and Bland anti-cycling modes walk
+// that set in ascending code order, which is the order of a full scan,
+// so they keep the termination guarantees a full scan gives them. The
+// Dantzig refill takes from it exactly the columns, winner and next
+// cursor the circular scan would find — unless y has more than one
+// nonzero row in rowPriceRatio: the scan then stops after a few hundred
+// columns on plentiful improving ones, while the row-wise pass would
+// read most of A, so a dense y keeps the scan.
 func (ws *Workspace) chooseEntering(mode pricingMode) int {
 	total := ws.n + 2*ws.m
 	switch mode {
 	case pricingBland:
-		for j := 0; j < total; j++ {
-			if ws.basisPos[j] >= 0 || !ws.canEnter(j) {
-				continue
-			}
-			if ws.reducedCost(j) < -blandEps {
-				return j
+		ws.priceRows(ws.y, ws.yNZ, true)
+		for k, d := range ws.pricedVal {
+			if d < -blandEps {
+				return int(ws.priced[k])
 			}
 		}
 		return -1
 	case pricingRandom:
 		// Reservoir-sample uniformly among improving columns.
-		count, pick := 0, -1
-		for j := 0; j < total; j++ {
-			if ws.basisPos[j] >= 0 || !ws.canEnter(j) {
-				continue
-			}
-			if ws.reducedCost(j) < -Eps {
-				count++
-				if ws.rng.intn(count) == 0 {
-					pick = j
-				}
+		ws.priceRows(ws.y, ws.yNZ, true)
+		pick := -1
+		for k, j := range ws.priced {
+			if ws.rng.intn(k+1) == 0 {
+				pick = int(j)
 			}
 		}
 		return pick
@@ -611,6 +751,10 @@ func (ws *Workspace) chooseEntering(mode pricingMode) int {
 		if j >= total {
 			j = 0
 		}
+		if len(ws.yNZ)*rowPriceRatio <= ws.m {
+			// The list is empty here: a surviving candidate would have won.
+			return ws.refillRows(j)
+		}
 		for scanned := 0; scanned < total; scanned++ {
 			if ws.basisPos[j] < 0 && ws.canEnter(j) {
 				if v := ws.reducedCost(j); v < -Eps {
@@ -631,6 +775,39 @@ func (ws *Workspace) chooseEntering(mode pricingMode) int {
 		ws.priceCursor = j
 		return best
 	}
+}
+
+// refillRows is the Dantzig refill through priceRows: it walks the
+// improving columns circularly from the cursor start, as the column
+// scan does, keeps the first candCap as candidates, returns the first
+// strict minimum among them and leaves the cursor just past the last
+// one taken — or at start when fewer turn up, where a full scan would
+// stop too.
+func (ws *Workspace) refillRows(start int) int {
+	ws.priceRows(ws.y, ws.yNZ, true)
+	codes := ws.priced
+	best, bestVal := -1, -Eps
+	next := start
+	first, _ := slices.BinarySearch(codes, int32(start))
+	for k := range codes {
+		at := first + k
+		if at >= len(codes) {
+			at -= len(codes)
+		}
+		j := int(codes[at])
+		ws.cand = append(ws.cand, int32(j))
+		if v := ws.pricedVal[at]; v < bestVal {
+			best, bestVal = j, v
+		}
+		if len(ws.cand) >= candCap {
+			if next = j + 1; next == ws.n+2*ws.m {
+				next = 0
+			}
+			break
+		}
+	}
+	ws.priceCursor = next
+	return best
 }
 
 // chooseLeaving runs a Harris-style two-pass ratio test over the
@@ -836,26 +1013,7 @@ func (ws *Workspace) dualSimplex() (int, iterStatus) {
 		}
 		ws.loadRho(r)
 		ws.computeY()
-		// Entering: dual ratio test min d_j / -alpha_j over alpha_j < 0,
-		// breaking near-ties towards the larger |pivot|.
-		best, bestRatio, bestAlpha := -1, math.Inf(1), 0.0
-		for j := 0; j < total; j++ {
-			if ws.basisPos[j] >= 0 || !ws.canEnter(j) {
-				continue
-			}
-			alpha := ws.rhoDot(j)
-			if alpha >= -Eps {
-				continue
-			}
-			d := ws.reducedCost(j)
-			if d < 0 {
-				d = 0 // dual feasibility noise
-			}
-			ratio := d / -alpha
-			if ratio < bestRatio-1e-12 || (ratio <= bestRatio+1e-9 && -alpha > -bestAlpha) {
-				best, bestRatio, bestAlpha = j, ratio, alpha
-			}
-		}
+		best := ws.dualEntering()
 		if best < 0 {
 			// No pivot can lift the violated row: the appended rows are
 			// (numerically) contradictory. Let the cold path decide.
@@ -868,6 +1026,40 @@ func (ws *Workspace) dualSimplex() (int, iterStatus) {
 		ws.pivot(r, best)
 	}
 	return maxIter, statusIterLimit
+}
+
+// dualEntering runs the dual ratio test for the leaving row whose row
+// of B^-1 is in rho, with y fresh: min d_j / -alpha_j over the columns
+// with alpha_j = rho.A_j < -Eps, breaking near-ties towards the larger
+// |pivot|. priceRows lists those columns in ascending code order, the
+// order of a full scan, which the tie-break depends on.
+func (ws *Workspace) dualEntering() int {
+	ws.priceRows(ws.rho, ws.rhoNZ, false)
+	best, bestRatio, bestAlpha := -1, math.Inf(1), 0.0
+	for k, alpha := range ws.pricedVal {
+		j := int(ws.priced[k])
+		d := ws.reducedCost(j)
+		if d < 0 {
+			d = 0 // dual feasibility noise
+		}
+		ratio := d / -alpha
+		if ratio < bestRatio-1e-12 || (ratio <= bestRatio+1e-9 && -alpha > -bestAlpha) {
+			best, bestRatio, bestAlpha = j, ratio, alpha
+		}
+	}
+	return best
+}
+
+// dualFeasible reports whether no column that may enter has a reduced
+// cost below -tol, for tol >= Eps; y must be fresh.
+func (ws *Workspace) dualFeasible(tol float64) bool {
+	ws.priceRows(ws.y, ws.yNZ, true)
+	for _, d := range ws.pricedVal {
+		if d < -tol {
+			return false
+		}
+	}
+	return true
 }
 
 // extract fills the primal values, objective and duals of an optimal
@@ -1115,14 +1307,8 @@ func (ws *Workspace) solveWarm(mdl *Model, basis Basis) (sol *Solution, ok bool,
 		// reduced cost alongside primal infeasibility means the basis is
 		// stale in both senses.
 		ws.computeY()
-		total := n + 2*m
-		for j := 0; j < total; j++ {
-			if ws.basisPos[j] >= 0 || !ws.canEnter(j) {
-				continue
-			}
-			if ws.reducedCost(j) < -1e-6 {
-				return nil, false, nil
-			}
+		if !ws.dualFeasible(1e-6) {
+			return nil, false, nil
 		}
 	}
 

@@ -55,6 +55,12 @@ func TestErrorEnvelopeAcrossEndpoints(t *testing.T) {
 			http.StatusBadRequest, CodeBadRequest,
 		},
 		{
+			"upload non-finite edge cost",
+			http.MethodPost, "/v1/platforms",
+			UploadRequest{Platform: "edge a b NaN\n"},
+			http.StatusBadRequest, CodeBadRequest,
+		},
+		{
 			"get unknown platform",
 			http.MethodGet, "/v1/platforms/nope", nil,
 			http.StatusNotFound, CodeNotFound,
