@@ -56,33 +56,17 @@ func NewProblem(g *Graph, source NodeID, targets []NodeID) (Problem, error) {
 	return steady.NewProblem(g, source, targets)
 }
 
-// ScatterBound computes the paper's Multicast-UB: the achievable
-// scatter relaxation, an upper bound on the optimal period.
-func ScatterBound(p Problem) (*Bound, error) { return steady.ScatterUB(p) }
-
-// LowerBound computes the paper's Multicast-LB: the optimistic
-// relaxation, a lower bound on the optimal period (not achievable in
-// general).
-func LowerBound(p Problem) (*Bound, error) { return steady.MulticastLB(p) }
-
-// BroadcastBound computes Broadcast-EB: the exact optimal steady-state
-// broadcast period of the active platform.
-func BroadcastBound(g *Graph, source NodeID) (*Bound, error) {
-	return steady.BroadcastEB(g, source)
-}
-
-// Heuristics returns the paper's heuristic set (MCPH, Augmented
-// Multicast, Reduced Broadcast, Augmented Sources). Every run uses a
-// private bound evaluator; use HeuristicsWith to share one.
-func Heuristics() []Heuristic { return heur.All() }
-
-// Evaluator is a caching, warm-starting service for the steady-state
-// bound programs: results are cached by platform fingerprint and
-// target set, all solves share one reusable LP workspace, and the
-// cutting-plane / column-generation state (cuts, path columns) of
-// earlier solves seeds later related ones. The LP-based heuristics run
-// their incremental inner loops (drop node, add node, promote source)
-// against it. Not safe for concurrent use — hold one per goroutine.
+// Evaluator is the one route to the paper's steady-state bounds: its
+// ScatterUB (Multicast-UB, the achievable scatter relaxation, an upper
+// bound on the optimal period), MulticastLB (the optimistic Multicast-LB
+// lower bound, not achievable in general), BroadcastEB (the exact
+// broadcast period of the active platform) and MultiSourceUB methods.
+// Results are cached by platform fingerprint and target set, all
+// solves share one reusable LP workspace, and the cutting-plane /
+// column-generation state (cuts, path columns) of earlier solves seeds
+// later related ones. The LP-based heuristics run their incremental
+// inner loops (drop node, add node, promote source) against it. Not
+// safe for concurrent use — hold one per goroutine.
 type Evaluator = steady.Evaluator
 
 // SolveStats aggregates LP-solver and evaluator activity: solves,
@@ -94,7 +78,8 @@ type SolveStats = steady.SolveStats
 // workspace.
 func NewEvaluator() *Evaluator { return steady.NewEvaluator() }
 
-// HeuristicsWith returns the paper's heuristic set bound to a shared
+// HeuristicsWith returns the paper's heuristic set (MCPH, Augmented
+// Multicast, Reduced Broadcast, Augmented Sources) bound to a shared
 // evaluator, so consecutive runs on the same platform reuse each
 // other's LP work.
 func HeuristicsWith(ev *Evaluator) []Heuristic { return heur.AllWith(ev) }

@@ -20,11 +20,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := repro.LowerBound(p)
+	ev := repro.NewEvaluator()
+	ev.SetFastPath(false)
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := repro.ScatterBound(p)
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if single <= pk.Period()+1e-9 {
 		t.Fatalf("single tree %v should be worse than packing %v", single, pk.Period())
 	}
-	for _, h := range repro.Heuristics() {
+	for _, h := range repro.HeuristicsWith(repro.NewEvaluator()) {
 		res, err := h.Run(p)
 		if err != nil {
 			t.Fatalf("%s: %v", h.Name, err)
@@ -140,7 +142,9 @@ func TestFacadeServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := repro.LowerBound(p)
+	ev := repro.NewEvaluator()
+	ev.SetFastPath(false)
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}

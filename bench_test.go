@@ -13,11 +13,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/color"
@@ -66,7 +64,7 @@ func BenchmarkComplexityTableBroadcast(b *testing.B) {
 	g, s, _ := complexityChain(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steady.BroadcastEB(g, s); err != nil {
+		if _, err := steady.NewEvaluator().BroadcastEB(g, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,11 +146,12 @@ func BenchmarkFigure4Bounds(b *testing.B) {
 	p := pl.Problem()
 	var ubThr, lbThr, optThr float64
 	for i := 0; i < b.N; i++ {
-		ub, err := steady.ScatterUB(p)
+		ev := steady.NewEvaluator()
+		ub, err := ev.ScatterUB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lb, err := steady.MulticastLB(p)
+		lb, err := ev.MulticastLB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,11 +173,12 @@ func BenchmarkFigure5Gap(b *testing.B) {
 	p := pl.Problem()
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		ub, err := steady.ScatterUB(p)
+		ev := steady.NewEvaluator()
+		ub, err := ev.ScatterUB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lb, err := steady.MulticastLB(p)
+		lb, err := ev.MulticastLB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,42 +190,26 @@ func BenchmarkFigure5Gap(b *testing.B) {
 // --- Figure 11: the density sweeps ------------------------------------
 
 // The full paper-scale panels (10 platforms x 6 densities) are
-// regenerated by cmd/experiments; the benchmarks run a reduced sweep
-// (2 platforms, 3 densities) and report the mean heuristic-to-baseline
-// ratios of each panel. The main variants run the concurrent engine at
-// GOMAXPROCS; the Serial variants pin Workers to 1, so comparing
-// BenchmarkFigure11aSmallVsScatter against its Serial twin measures
-// the worker-pool speedup on the same deterministic workload.
-// The VsScatter variants additionally report a parallel-speedup
-// metric: after the timed iterations, a serial and a parallel run of
-// the same grid are wall-clocked off the timer back to back, and the
-// ratio serial/parallel lands in BENCH_sweep.json, so a regression in
-// worker-pool scaling is visible in the committed trajectory rather
-// than needing a by-hand comparison of two benchmark lines. On a
-// single-core runner the honest value is ~1.0.
-func BenchmarkFigure11aSmallVsScatter(b *testing.B) { benchFigure11(b, "small", "scatter", 0, true) }
+// regenerated by cmd/experiments; BenchmarkFigure11Small and ...Big run
+// a reduced sweep (2 platforms, 3 densities) once per iteration on the
+// concurrent engine at its default worker count. Each reports both
+// panels of its size from that one run — the mean ratio of every
+// heuristic and of broadcast to the scatter bound (panels a/c,
+// <series>-vs-scatter) and to the lower bound (panels b/d,
+// <series>-vs-lb) — plus the sweep's solver counters, which do not
+// depend on the worker count (the sweep is bit-identical for any pool
+// size).
+func BenchmarkFigure11Small(b *testing.B) { benchFigure11(b, "small") }
 
-func BenchmarkFigure11aSmallVsScatterSerial(b *testing.B) {
-	benchFigure11(b, "small", "scatter", 1, false)
-}
+func BenchmarkFigure11Big(b *testing.B) { benchFigure11(b, "big") }
 
-func BenchmarkFigure11bSmallVsLB(b *testing.B) { benchFigure11(b, "small", "lb", 0, false) }
-
-func BenchmarkFigure11cBigVsScatter(b *testing.B) { benchFigure11(b, "big", "scatter", 0, true) }
-
-func BenchmarkFigure11cBigVsScatterSerial(b *testing.B) { benchFigure11(b, "big", "scatter", 1, false) }
-
-func BenchmarkFigure11dBigVsLB(b *testing.B) { benchFigure11(b, "big", "lb", 0, false) }
-
-func benchFigure11(b *testing.B, size, baseline string, workers int, speedup bool) {
+func benchFigure11(b *testing.B, size string) {
 	b.Helper()
-	densities := []float64{0.2, 0.6, 1.0}
 	cfg := repro.SweepConfig{
 		Size:      size,
 		Platforms: 2,
-		Densities: densities,
+		Densities: []float64{0.2, 0.6, 1.0},
 		Seed:      1,
-		Workers:   workers,
 	}
 	var cells []repro.SweepCell
 	var stats repro.SolveStats
@@ -246,44 +230,21 @@ func benchFigure11(b *testing.B, size, baseline string, workers int, speedup boo
 	b.ReportMetric(float64(stats.Solves), "lp-solves")
 	b.ReportMetric(float64(stats.WarmSolves), "warm-solves")
 	b.ReportMetric(float64(stats.CacheHits), "cache-hits")
-	if speedup {
-		// Both legs are wall-clocked off the timer, back to back, with a
-		// GC before each: comparing a fresh serial run against the timed
-		// loop's elapsed time would credit (or blame) the parallel side
-		// for whatever heap and GC state the timed iterations left
-		// behind, not for worker-pool scaling.
-		b.StopTimer()
-		serialCfg := cfg
-		serialCfg.Workers = 1
-		runtime.GC()
-		t0 := time.Now()
-		if _, err := repro.RunSweepTasks(serialCfg); err != nil {
-			b.Fatal(err)
+	for _, baseline := range []string{"scatter", "lb"} {
+		means := map[string]float64{}
+		counts := map[string]int{}
+		for _, c := range cells {
+			v := c.VsScatter
+			if baseline == "lb" {
+				v = c.VsLB
+			}
+			means[c.Series] += v
+			counts[c.Series]++
 		}
-		serial := time.Since(t0).Seconds()
-		runtime.GC()
-		t1 := time.Now()
-		if _, err := repro.RunSweepTasks(cfg); err != nil {
-			b.Fatal(err)
-		}
-		if parallel := time.Since(t1).Seconds(); parallel > 0 {
-			b.ReportMetric(serial/parallel, "parallel-speedup")
-		}
-		b.StartTimer()
-	}
-	means := map[string]float64{}
-	counts := map[string]int{}
-	for _, c := range cells {
-		v := c.VsScatter
-		if baseline == "lb" {
-			v = c.VsLB
-		}
-		means[c.Series] += v
-		counts[c.Series]++
-	}
-	for _, series := range []string{"MCPH", "Augm. MC", "Red. BC", "Multisource MC", "broadcast"} {
-		if n := counts[series]; n > 0 {
-			b.ReportMetric(means[series]/float64(n), sanitize(series))
+		for _, series := range []string{"MCPH", "Augm. MC", "Red. BC", "Multisource MC", "broadcast"} {
+			if n := counts[series]; n > 0 {
+				b.ReportMetric(means[series]/float64(n), sanitize(series)+"-vs-"+baseline)
+			}
 		}
 	}
 }
@@ -319,7 +280,7 @@ func BenchmarkFigure12CaseStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms, err := heur.AugmentedSources(p)
+		ms, err := heur.AugmentedSources(steady.NewEvaluator(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,31 +327,25 @@ func BenchmarkAblationLBDense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := steady.BroadcastEB(pl.G, pl.Source); err != nil {
+	if _, err := steady.NewEvaluator().BroadcastEB(pl.G, pl.Source); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steady.BroadcastEB(pl.G, pl.Source); err != nil {
+		if _, err := steady.NewEvaluator().BroadcastEB(pl.G, pl.Source); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// --- Solver engine: cold vs warm cutting plane -------------------------
+// --- Solver engine: the warm cutting plane ----------------------------
 
-// BenchmarkMulticastLBWarmCuts and ...ColdCuts time the Multicast-LB
-// cutting-plane loop on a dense-target (broadcast-shaped) instance of
-// the big platform, with and without warm-starting each separation
-// round from the previous basis. The reported simplex-iters metric is
-// the acceptance criterion: warm must pivot measurably less for the
-// same optimum.
-func BenchmarkMulticastLBWarmCuts(b *testing.B) { benchLBCuts(b, true) }
-
-func BenchmarkMulticastLBColdCuts(b *testing.B) { benchLBCuts(b, false) }
-
-func benchLBCuts(b *testing.B, warm bool) {
-	b.Helper()
+// BenchmarkMulticastLBWarmCuts times the Multicast-LB cutting-plane
+// loop on a dense-target (broadcast-shaped) instance of the big
+// platform, each separation round warm-started from the previous
+// round's basis, on a fresh evaluator per iteration. The reported
+// simplex-iters, rounds and solves pin the loop's work.
+func BenchmarkMulticastLBWarmCuts(b *testing.B) {
 	pl, err := tiers.Generate(tiers.Big(11))
 	if err != nil {
 		b.Fatal(err)
@@ -408,7 +363,7 @@ func benchLBCuts(b *testing.B, warm bool) {
 	var bound *steady.Bound
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bound, err = steady.MulticastLBWith(p, steady.LBOptions{WarmStart: warm})
+		bound, err = steady.NewEvaluator().MulticastLB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -525,7 +480,7 @@ func BenchmarkScatterUBSmall(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steady.ScatterUB(p); err != nil {
+		if _, err := steady.NewEvaluator().ScatterUB(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -748,10 +703,10 @@ func benchWhatif(b *testing.B, cold bool) {
 // evaluator's combinatorial fast path, with a Reset each iteration so
 // every evaluation reclassifies and rescans rather than hitting the
 // result cache. The ...LB twins push the identical problem through the
-// Multicast-LB solver (presolved, and raw with presolve off) — at 30
-// nodes that is the direct per-target formulation, at 65 the
-// cut-covering master. The acceptance criterion is ns/op: the fast
-// path must beat both LP configurations by >= 10x while agreeing on
+// Multicast-LB LP on a fresh fast-path-disabled evaluator per
+// iteration — at 30 nodes that is the direct per-target formulation,
+// at 65 the warm cut-covering master. The acceptance criterion is
+// ns/op: the fast path must beat the LP by >= 10x while agreeing on
 // the throughput (checked here before the timer starts; the tests and
 // FuzzTreeVsLP pin the <= 1e-9 contract).
 func BenchmarkTreeFastPathSmall(b *testing.B) { benchTreeBound(b, 30, "fast") }
@@ -761,10 +716,6 @@ func BenchmarkTreeFastPathBig(b *testing.B) { benchTreeBound(b, 65, "fast") }
 func BenchmarkTreeLBSmall(b *testing.B) { benchTreeBound(b, 30, "lp") }
 
 func BenchmarkTreeLBBig(b *testing.B) { benchTreeBound(b, 65, "lp") }
-
-func BenchmarkTreeLBRawSmall(b *testing.B) { benchTreeBound(b, 30, "lpraw") }
-
-func BenchmarkTreeLBRawBig(b *testing.B) { benchTreeBound(b, 65, "lpraw") }
 
 // benchTreeRebuild grows a random recursive tree with tiers-like
 // heterogeneous full-duplex links — the reconstructed-spanning-tree
@@ -794,7 +745,12 @@ func benchTreeBound(b *testing.B, n int, mode string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := steady.MulticastLBWith(p, steady.LBOptions{})
+	lpOnly := func() *steady.Evaluator {
+		ev := steady.NewEvaluator()
+		ev.SetFastPath(false)
+		return ev
+	}
+	ref, err := lpOnly().MulticastLB(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -818,16 +774,7 @@ func benchTreeBound(b *testing.B, n int, mode string) {
 		b.ReportMetric(float64(s.Solves), "lp-solves")
 	case "lp":
 		for i := 0; i < b.N; i++ {
-			bound, err = steady.MulticastLBWith(p, steady.LBOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(bound.Iterations), "simplex-iters")
-		b.ReportMetric(float64(bound.Solves), "lp-solves")
-	case "lpraw":
-		for i := 0; i < b.N; i++ {
-			bound, err = steady.MulticastLBWith(p, steady.LBOptions{NoPresolve: true})
+			bound, err = lpOnly().MulticastLB(p)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,6 +18,7 @@
 //	experiments -size big   -baseline scatter        # Figure 11(c)
 //	experiments -size big   -baseline lb             # Figure 11(d)
 //	experiments -size small -baseline both -csv out.csv
+//	experiments -size small -platforms 3            # reduced sweep, both panels
 //	experiments -size big -workers 8 -json sweep.json
 //	experiments -from sweep.json -baseline lb        # re-render, no solve
 //	experiments -size small -solvestats              # report LP solver work

@@ -6,12 +6,12 @@
 //	figures -fig 3      Theorem 5 parallel-prefix reduction
 //	figures -fig 4      Figure 4: neither LP bound is tight
 //	figures -fig 5      Figure 5: the |Ptarget| gap between the bounds
-//	figures -fig 11     Figure 11 density sweep (reduced; see cmd/experiments
-//	                    for the full paper-scale run); honours -workers for
-//	                    the concurrent sweep engine and -json to persist the
-//	                    cells
 //	figures -fig 12     Figure 12 case study: MCPH vs Multisource MC on a Tiers platform
 //	figures -fig table  Section 4 complexity table, as measured runtimes
+//
+// -fig also takes a comma-separated list (figures -fig 1,4,5) and runs
+// the figures in that order. The Figure 11 density sweep is
+// cmd/experiments (experiments -platforms 3 is the reduced sweep).
 package main
 
 import (
@@ -19,10 +19,9 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
+	"strings"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/heur"
 	"repro/internal/platforms"
@@ -36,37 +35,33 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	fig := flag.String("fig", "1", "figure to regenerate: 1, 2, 3, 4, 5, 11, 12 or table")
-	seed := flag.Int64("seed", 1, "random seed (figures 11 and 12)")
-	size := flag.String("size", "small", `platform preset for figure 11: "small" or "big"`)
-	workers := flag.Int("workers", 0, "concurrent sweep workers for figure 11 (default GOMAXPROCS)")
-	jsonOut := flag.String("json", "", "persist the figure 11 cells as JSON to this file")
-	solveStats := flag.Bool("solvestats", false, "report aggregate LP-solver statistics after the figure 11 sweep")
+	figs := flag.String("fig", "1", "figures to regenerate, comma-separated: 1, 2, 3, 4, 5, 12 or table")
+	seed := flag.Int64("seed", 1, "random seed (figure 12)")
 	flag.Parse()
 
-	var err error
-	switch *fig {
-	case "1":
-		err = figure1()
-	case "2":
-		err = figure2()
-	case "3":
-		err = figure3()
-	case "4":
-		err = figure4()
-	case "5":
-		err = figure5()
-	case "11":
-		err = figure11(*seed, *size, *workers, *jsonOut, *solveStats)
-	case "12":
-		err = figure12(*seed)
-	case "table":
-		err = complexityTable()
-	default:
-		log.Fatalf("unknown figure %q", *fig)
-	}
-	if err != nil {
-		log.Fatal(err)
+	for _, fig := range strings.Split(*figs, ",") {
+		var err error
+		switch strings.TrimSpace(fig) {
+		case "1":
+			err = figure1()
+		case "2":
+			err = figure2()
+		case "3":
+			err = figure3()
+		case "4":
+			err = figure4()
+		case "5":
+			err = figure5()
+		case "12":
+			err = figure12(*seed)
+		case "table":
+			err = complexityTable()
+		default:
+			log.Fatalf("unknown figure %q", fig)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 }
 
@@ -74,7 +69,7 @@ func figure1() error {
 	pl := platforms.Figure1()
 	p := pl.Problem()
 	fmt.Println("Figure 1 - the Section 3 worked example (targets P7..P13)")
-	lb, err := steady.MulticastLB(p)
+	lb, err := steady.NewEvaluator().MulticastLB(p)
 	if err != nil {
 		return err
 	}
@@ -154,11 +149,12 @@ func figure4() error {
 	pl := platforms.Figure4()
 	p := pl.Problem()
 	fmt.Println("Figure 4 - neither bound is tight")
-	ub, err := steady.ScatterUB(p)
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		return err
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		return err
 	}
@@ -176,52 +172,17 @@ func figure5() error {
 	pl := platforms.Figure5()
 	p := pl.Problem()
 	fmt.Println("Figure 5 - the gap between the bounds reaches |Ptarget|")
-	ub, err := steady.ScatterUB(p)
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		return err
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  scatter period %.4f vs optimistic period %.4f: gap %.1fx = |Ptarget| = %d\n",
 		ub.Period, lb.Period, ub.Period/lb.Period, len(pl.Targets))
-	return nil
-}
-
-// figure11 runs a reduced density sweep (3 platforms, paper densities)
-// on the concurrent engine and prints both panel baselines; the
-// paper-scale 10-platform run lives in cmd/experiments.
-func figure11(seed int64, size string, workers int, jsonOut string, solveStats bool) error {
-	cfg := exp.Config{
-		Size:      size,
-		Platforms: 3,
-		Seed:      seed,
-		Workers:   workers,
-		Progress:  os.Stderr,
-	}
-	results, err := exp.Sweep(cfg)
-	if err != nil {
-		return err
-	}
-	cells := exp.Aggregate(results)
-	if taskErr := exp.Errors(results); taskErr != nil {
-		// Per-task failures still yield the surviving cells; only a
-		// sweep with nothing to show is fatal.
-		if len(cells) == 0 {
-			return taskErr
-		}
-		fmt.Fprintf(os.Stderr, "figures: warning: some sweep tasks failed, rendering the surviving cells: %v\n", taskErr)
-	}
-	if solveStats {
-		fmt.Fprintf(os.Stderr, "solver: %v\n", exp.AggregateStats(results))
-	}
-	fmt.Printf("Figure 11 - density sweep (%s platforms, reduced to %d platforms)\n\n", size, cfg.Platforms)
-	fmt.Printf("ratio of periods to the scatter bound\n\n%s\n", exp.Table(cells, "scatter"))
-	fmt.Printf("ratio of periods to the lower bound\n\n%s", exp.Table(cells, "lb"))
-	if jsonOut != "" {
-		return exp.WriteCellsFile(jsonOut, cells)
-	}
 	return nil
 }
 
@@ -241,7 +202,7 @@ func figure12(seed int64) error {
 	if err != nil {
 		return err
 	}
-	ms, err := heur.AugmentedSources(p)
+	ms, err := heur.AugmentedSources(steady.NewEvaluator(), p)
 	if err != nil {
 		return err
 	}
@@ -271,7 +232,7 @@ func complexityTable() error {
 			prev = v
 		}
 		t0 := time.Now()
-		if _, err := steady.BroadcastEB(g, s); err != nil {
+		if _, err := steady.NewEvaluator().BroadcastEB(g, s); err != nil {
 			return err
 		}
 		dBC := time.Since(t0)

@@ -67,15 +67,18 @@ func main() {
 
 	fmt.Printf("platform: %d nodes, %d edges, %d targets\n", g.NumActive(), len(g.ActiveEdges()), len(targets))
 
-	ub, err := steady.ScatterUB(p)
+	// One evaluator runs the bounds and then the heuristics, the same
+	// sequence the sweep and the planning daemon run.
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bc, err := steady.BroadcastEB(g, source)
+	bc, err := ev.BroadcastEB(g, source)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func main() {
 	fmt.Printf("%-22s period %10.4f  throughput %.6f\n", "bound (Multicast-LB)", lb.Period, lb.Throughput())
 	fmt.Printf("%-22s period %10.4f  throughput %.6f\n", "broadcast (EB)", bc.Period, bc.Throughput())
 
-	for _, h := range heur.All() {
+	for _, h := range heur.AllWith(ev) {
 		res, err := h.Run(p)
 		if err != nil {
 			log.Fatalf("%s: %v", h.Name, err)

@@ -49,7 +49,9 @@
 // (NewEvaluator / HeuristicsWith), so the baselines and heuristics of
 // one grid cell share cached bounds, pooled cuts and one LP
 // workspace; AggregateSweepStats totals the solver statistics the
-// -solvestats flags of cmd/experiments and cmd/figures report.
+// -solvestats flag of cmd/experiments reports. The Evaluator is the
+// one route to every bound (ScatterUB, MulticastLB, BroadcastEB,
+// MultiSourceUB), and HeuristicsWith binds the heuristics to one.
 //
 // The serving layer is surfaced as NewPlanServer / Serve (cmd/mcastd
 // adds flags and graceful shutdown); ServeConfig.Shards sets the
@@ -57,7 +59,7 @@
 //
 // See README.md for a tour. The benchmarks in bench_test.go regenerate
 // every figure and table of the paper's evaluation; the Figure 11
-// benchmarks come in parallel and Serial variants to measure the
-// worker-pool speedup, and BenchmarkServePlan1Shard/...MaxShards
-// measure the serving layer's shard scaling.
+// benchmarks run one reduced grid per platform size and report both of
+// its panels, and BenchmarkServePlan1Shard/...MaxShards measure the
+// serving layer's shard scaling.
 package repro

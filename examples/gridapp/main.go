@@ -38,11 +38,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ub, err := steady.ScatterUB(problem)
+	// One evaluator answers the bounds and runs the LP heuristics, so
+	// they share its cached bounds, cut pools and LP workspace.
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lb, err := steady.MulticastLB(problem)
+	lb, err := ev.MulticastLB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func main() {
 	}
 	row("scatter (no sharing)", ub.Period)
 	row("theoretical lower bound", lb.Period)
-	for _, h := range heur.All() {
+	for _, h := range heur.AllWith(ev) {
 		res, err := h.Run(problem)
 		if err != nil {
 			log.Fatalf("%s: %v", h.Name, err)

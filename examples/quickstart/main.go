@@ -34,13 +34,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The two LP bounds of the paper: scatter (achievable) and the
-	// optimistic lower bound on the period.
-	ub, err := steady.ScatterUB(problem)
+	// The two LP bounds of the paper, both answered by one evaluator:
+	// scatter (achievable) and the optimistic lower bound on the period.
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lb, err := steady.MulticastLB(problem)
+	lb, err := ev.MulticastLB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}

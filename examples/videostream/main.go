@@ -51,15 +51,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ub, err := steady.ScatterUB(problem)
+	// One evaluator answers the bounds and runs the LP heuristics, so
+	// they share its cached bounds, cut pools and LP workspace.
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lb, err := steady.MulticastLB(problem)
+	lb, err := ev.MulticastLB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bc, err := steady.BroadcastEB(g, origin)
+	bc, err := ev.BroadcastEB(g, origin)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func main() {
 
 	best := ""
 	bestPeriod := bc.Period
-	for _, h := range heur.All() {
+	for _, h := range heur.AllWith(ev) {
 		res, err := h.Run(problem)
 		if err != nil {
 			log.Fatalf("%s: %v", h.Name, err)

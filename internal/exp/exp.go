@@ -51,8 +51,8 @@ type Config struct {
 	// (platform, density) task derives its own generator from Seed and
 	// the task coordinates, so results do not depend on Workers.
 	Seed int64
-	// Heuristics to run; nil means heur.All(). An empty non-nil slice
-	// runs only the three baselines.
+	// Heuristics to run; nil means heur.AllWith bound to each worker's
+	// evaluator. An empty non-nil slice runs only the three baselines.
 	Heuristics []heur.Heuristic
 	// Workers is the number of concurrent sweep workers; values < 1
 	// mean runtime.GOMAXPROCS(0).

@@ -21,7 +21,7 @@ func detConfig(workers int) Config {
 		Platforms:  2,
 		Densities:  []float64{0.2, 0.8},
 		Seed:       7,
-		Heuristics: heur.All()[:1], // MCPH
+		Heuristics: heur.AllWith(nil)[:1], // MCPH, which uses no evaluator
 		Workers:    workers,
 	}
 }

@@ -272,9 +272,11 @@ func (g *Graph) applyOp(op DeltaOp) DeltaOp {
 
 // Apply applies the delta to g front to back and returns the undo
 // delta that restores the prior state (see the package comment on
-// structural ops: their undo is logical, not physical). Application is
-// atomic: if any op fails validation, every op already applied is
-// rolled back and g is exactly as before the call.
+// structural ops: their undo is logical, not physical). If any op
+// fails validation, every op already applied is rolled back through
+// that undo: state ops are restored exactly, but a node or edge that
+// an earlier structural op added stays in g, deactivated or disabled
+// (so a retry of the same delta fails on the duplicate node name).
 //
 // The undo delta is ordered for direct application: applying it with
 // Apply (or op by op, front to back) restores the prior state. Ops

@@ -48,7 +48,7 @@ func TestHeuristicsGoldenFigure4(t *testing.T) {
 		{name: "Multisource MC", period: 2, sources: []graph.NodeID{c1}},
 	}
 
-	hs := All()
+	hs := AllWith(steady.NewEvaluator())
 	if len(hs) != len(want) {
 		t.Fatalf("registry has %d heuristics, want %d", len(hs), len(want))
 	}
@@ -82,16 +82,16 @@ func TestHeuristicsGoldenFigure4(t *testing.T) {
 }
 
 // TestHeuristicsGoldenStableAcrossSharedEvaluator re-runs the registry
-// on one shared evaluator and checks the results are identical to the
-// private-evaluator runs — caching and pooled warm starts must never
-// change heuristic output.
+// on one shared evaluator and checks the results are identical to runs
+// on a private evaluator each — caching and pooled warm starts must
+// never change heuristic output.
 func TestHeuristicsGoldenStableAcrossSharedEvaluator(t *testing.T) {
 	pl := platforms.Figure4()
 	p := pl.Problem()
 	ev := steady.NewEvaluator()
-	private := All()
 	shared := AllWith(ev)
-	for i := range private {
+	for i := range shared {
+		private := AllWith(steady.NewEvaluator())
 		a, err := private[i].Run(p)
 		if err != nil {
 			t.Fatalf("%s (private): %v", private[i].Name, err)

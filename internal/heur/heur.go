@@ -71,31 +71,21 @@ type Heuristic struct {
 	Run  func(steady.Problem) (*Result, error)
 }
 
-// All returns the paper's heuristic set in the order of Figure 11's
-// legend (MCPH, Augm. MC, Red. BC, Multisource MC). Every run uses a
-// private bound evaluator; use AllWith to share one across heuristics.
-func All() []Heuristic { return AllWith(nil) }
-
-// AllWith returns the paper's heuristic set bound to a shared
-// steady.Evaluator, so the heuristics of one experiment cell reuse
-// each other's cached bounds, pooled cuts and LP workspace. A nil
-// evaluator gives each run a private one. The evaluator (and hence the
-// returned heuristics) must not be shared between goroutines.
+// AllWith returns the paper's heuristic set in the order of Figure
+// 11's legend (MCPH, Augm. MC, Red. BC, Multisource MC), the LP-based
+// ones bound to ev, so the heuristics of one experiment cell reuse
+// each other's cached bounds, pooled cuts and LP workspace. The
+// evaluator (and hence the returned heuristics) must not be shared
+// between goroutines.
 func AllWith(ev *steady.Evaluator) []Heuristic {
 	bind := func(f func(*steady.Evaluator, steady.Problem) (*Result, error)) func(steady.Problem) (*Result, error) {
-		return func(p steady.Problem) (*Result, error) {
-			e := ev
-			if e == nil {
-				e = steady.NewEvaluator()
-			}
-			return f(e, p)
-		}
+		return func(p steady.Problem) (*Result, error) { return f(ev, p) }
 	}
 	return []Heuristic{
 		{Name: "MCPH", Run: MCPH},
-		{Name: "Augm. MC", Run: bind(augmentedMulticast)},
-		{Name: "Red. BC", Run: bind(reducedBroadcast)},
-		{Name: "Multisource MC", Run: bind(augmentedSources)},
+		{Name: "Augm. MC", Run: bind(AugmentedMulticast)},
+		{Name: "Red. BC", Run: bind(ReducedBroadcast)},
+		{Name: "Multisource MC", Run: bind(AugmentedSources)},
 	}
 }
 
@@ -189,19 +179,9 @@ func mcph(p steady.Problem, portAwareCosts bool) (*Result, error) {
 // ReducedBroadcast is the heuristic of Figure 6: broadcast to the whole
 // platform, then repeatedly drop the non-target node with the smallest
 // per-target traffic in the current Broadcast-EB solution, as long as
-// the broadcast period does not degrade.
-func ReducedBroadcast(p steady.Problem) (*Result, error) {
-	return ReducedBroadcastWith(steady.NewEvaluator(), p)
-}
-
-// ReducedBroadcastWith is ReducedBroadcast on a caller-supplied
-// evaluator, whose cache and cut pools make the drop/re-broadcast
-// inner loop incremental.
-func ReducedBroadcastWith(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
-	return reducedBroadcast(ev, p)
-}
-
-func reducedBroadcast(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
+// the broadcast period does not degrade. The evaluator's cache and cut
+// pools make the drop/re-broadcast inner loop incremental.
+func ReducedBroadcast(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
 	g := p.G.Clone()
 	res := &Result{Name: "Red. BC"}
 	before := ev.Stats()
@@ -249,19 +229,10 @@ func reducedBroadcast(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
 // AugmentedMulticast is the heuristic of Figure 7: start from a
 // broadcast over just {source} + targets, then grow that platform with
 // the nodes carrying the most per-target traffic in the full-platform
-// Multicast-LB solution, while this does not degrade the period.
-func AugmentedMulticast(p steady.Problem) (*Result, error) {
-	return AugmentedMulticastWith(steady.NewEvaluator(), p)
-}
-
-// AugmentedMulticastWith is AugmentedMulticast on a caller-supplied
-// evaluator, whose cache and cut pools make the add/re-broadcast inner
-// loop incremental.
-func AugmentedMulticastWith(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
-	return augmentedMulticast(ev, p)
-}
-
-func augmentedMulticast(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
+// Multicast-LB solution, while this does not degrade the period. The
+// evaluator's cache and cut pools make the add/re-broadcast inner loop
+// incremental.
+func AugmentedMulticast(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
 	full := p.G
 	res := &Result{Name: "Augm. MC"}
 	before := ev.Stats()
@@ -314,19 +285,10 @@ func augmentedMulticast(ev *steady.Evaluator, p steady.Problem) (*Result, error)
 // AugmentedSources is the heuristic of Figure 8 (Multisource MC in the
 // plots): repeatedly promote the node with the largest aggregate
 // traffic in the current MulticastMultiSource-UB solution to a
-// secondary source, while this does not degrade the period.
-func AugmentedSources(p steady.Problem) (*Result, error) {
-	return AugmentedSourcesWith(steady.NewEvaluator(), p)
-}
-
-// AugmentedSourcesWith is AugmentedSources on a caller-supplied
-// evaluator, whose path-column pool makes each promotion trial an
+// secondary source, while this does not degrade the period. The
+// evaluator's path-column pool makes each promotion trial an
 // incremental re-solve of the multisource master.
-func AugmentedSourcesWith(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
-	return augmentedSources(ev, p)
-}
-
-func augmentedSources(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
+func AugmentedSources(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
 	g := p.G
 	res := &Result{Name: "Multisource MC"}
 	before := ev.Stats()

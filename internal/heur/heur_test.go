@@ -109,7 +109,7 @@ func TestReducedBroadcastDropsSlowRelay(t *testing.T) {
 	g.AddEdge(s, tgt, 1)
 	g.AddEdge(s, r, 5)
 	g.AddEdge(r, tgt, 5)
-	res, err := ReducedBroadcast(mustProblem(t, g, s, []graph.NodeID{tgt}))
+	res, err := ReducedBroadcast(steady.NewEvaluator(), mustProblem(t, g, s, []graph.NodeID{tgt}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReducedBroadcastKeepsNeededRelay(t *testing.T) {
 	tgt := g.AddNode("t")
 	g.AddEdge(s, r, 1)
 	g.AddEdge(r, tgt, 1)
-	res, err := ReducedBroadcast(mustProblem(t, g, s, []graph.NodeID{tgt}))
+	res, err := ReducedBroadcast(steady.NewEvaluator(), mustProblem(t, g, s, []graph.NodeID{tgt}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAugmentedMulticastAddsRelay(t *testing.T) {
 	tgt := g.AddNode("t")
 	g.AddEdge(s, r, 1)
 	g.AddEdge(r, tgt, 1)
-	res, err := AugmentedMulticast(mustProblem(t, g, s, []graph.NodeID{tgt}))
+	res, err := AugmentedMulticast(steady.NewEvaluator(), mustProblem(t, g, s, []graph.NodeID{tgt}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestAugmentedMulticastSkipsUselessNodes(t *testing.T) {
 	g.AddEdge(s, tgt, 1)
 	g.AddEdge(s, slow, 9)
 	g.AddEdge(slow, tgt, 9)
-	res, err := AugmentedMulticast(mustProblem(t, g, s, []graph.NodeID{tgt}))
+	res, err := AugmentedMulticast(steady.NewEvaluator(), mustProblem(t, g, s, []graph.NodeID{tgt}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAugmentedMulticastSkipsUselessNodes(t *testing.T) {
 }
 
 func TestAugmentedSourcesRelay(t *testing.T) {
-	res, err := AugmentedSources(relay5(t))
+	res, err := AugmentedSources(steady.NewEvaluator(), relay5(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAugmentedSourcesRelay(t *testing.T) {
 }
 
 func TestAllRegistry(t *testing.T) {
-	hs := All()
+	hs := AllWith(steady.NewEvaluator())
 	if len(hs) != 4 {
 		t.Fatalf("registry has %d heuristics", len(hs))
 	}
@@ -245,12 +245,14 @@ func TestHeuristicsDominatedByLB(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lb, err := steady.MulticastLB(p)
+		ev := steady.NewEvaluator()
+		ev.SetFastPath(false)
+		lb, err := ev.MulticastLB(p)
 		if err != nil {
 			t.Logf("seed %d: LB: %v", seed, err)
 			return false
 		}
-		for _, h := range All() {
+		for _, h := range AllWith(steady.NewEvaluator()) {
 			res, err := h.Run(p)
 			if err != nil {
 				t.Logf("seed %d: %s: %v", seed, h.Name, err)

@@ -2,6 +2,7 @@ package platforms
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -11,6 +12,13 @@ import (
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// lpEvaluator returns an evaluator that answers every bound by the LP.
+func lpEvaluator() *steady.Evaluator {
+	ev := steady.NewEvaluator()
+	ev.SetFastPath(false)
+	return ev
+}
 
 // TestFigure1Claims verifies every quantitative claim the paper makes
 // about the Section 3 example:
@@ -23,7 +31,7 @@ func TestFigure1Claims(t *testing.T) {
 	pl := Figure1()
 	p := pl.Problem()
 
-	lb, err := steady.MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestFigure1Claims(t *testing.T) {
 		t.Errorf("optimal packing uses %d tree(s); the paper requires >= 2", len(pk.Trees))
 	}
 
-	ub, err := steady.ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +148,14 @@ func checkMultiset(t *testing.T, what string, got, want []float64) {
 func TestFigure4Claims(t *testing.T) {
 	pl := Figure4()
 	p := pl.Problem()
-	ub, err := steady.ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approx(ub.Throughput(), 1.0/3, 1e-6) {
 		t.Errorf("scatter throughput = %v, want 1/3", ub.Throughput())
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +176,11 @@ func TestFigure4Claims(t *testing.T) {
 func TestFigure5Claims(t *testing.T) {
 	pl := Figure5()
 	p := pl.Problem()
-	ub, err := steady.ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,4 +208,25 @@ func TestPlatformProblemPanicsOnCorruption(t *testing.T) {
 		}
 	}()
 	pl.Problem()
+}
+
+// TestFigure1PackingDeterministic checks that the exact optimum of the
+// Section 3 example returns the same trees, edge for edge and rate for
+// rate, on every call: the Steiner pricing extracts each tree from its
+// edge set in edge-ID order, not in map order.
+func TestFigure1PackingDeterministic(t *testing.T) {
+	pl := Figure1()
+	first, err := tree.PackOptimal(pl.G, pl.Source, pl.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 20; call++ {
+		pk, err := tree.PackOptimal(pl.G, pl.Source, pl.Targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pk.Trees, first.Trees) {
+			t.Fatalf("call %d: packed trees differ from the first call's", call)
+		}
+	}
 }

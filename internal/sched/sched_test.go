@@ -85,7 +85,9 @@ func TestScatterScheduleRealisable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := steady.ScatterUB(p)
+	ev := steady.NewEvaluator()
+	ev.SetFastPath(false)
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,9 +145,10 @@ func boundsMask(names []string) (uint8, error) {
 }
 
 // heurNames is the registry order of heur.AllWith; the mask bit of a
-// heuristic is its index here.
+// heuristic is its index here. Only the names are read, so no
+// evaluator is bound.
 var heurNames = func() []string {
-	all := heur.All()
+	all := heur.AllWith(nil)
 	names := make([]string, len(all))
 	for i, h := range all {
 		names[i] = h.Name

@@ -368,20 +368,25 @@ func (e *Evaluator) lookup(key evalKey, compute func() (*Bound, error)) (*Bound,
 	return b, nil
 }
 
-// ScatterUB evaluates the Multicast-UB scatter bound, cached. On tree
-// platforms the bound is computed combinatorially (fastpath.go).
+// ScatterUB evaluates the paper's Multicast-UB program, cached: the
+// pessimistic scatter relaxation, whose period is an achievable upper
+// bound on the optimal multicast period (Section 5.1.2 of the paper).
+// On tree platforms the bound is computed combinatorially
+// (fastpath.go), otherwise by the LP.
 func (e *Evaluator) ScatterUB(p Problem) (*Bound, error) {
 	key := evalKey{progScatter, fingerprintGraph(p.G), p.Source, hashNodes(p.Targets, true)}
 	return e.lookup(key, func() (*Bound, error) {
 		if b, ok := e.treeBound(p, true); ok {
 			return b, nil
 		}
-		return scatterUB(p, e.ws, &e.sc)
+		return e.scatterUB(p)
 	})
 }
 
-// MulticastLB evaluates the Multicast-LB lower bound, cached and
-// warm-started, seeding the cutting plane from the pooled cuts of
+// MulticastLB evaluates the paper's Multicast-LB program, cached and
+// warm-started: the optimistic relaxation, whose period is a lower
+// bound on the optimal multicast period, not achievable in general
+// (Figure 4). The cutting plane is seeded from the pooled cuts of
 // earlier related solves. On tree platforms the LP is skipped
 // entirely: the bound is the combinatorial Steiner-subtree period
 // (fastpath.go), cross-validated against the LP by the fast-path
@@ -392,16 +397,16 @@ func (e *Evaluator) MulticastLB(p Problem) (*Bound, error) {
 		if b, ok := e.treeBound(p, false); ok {
 			return b, nil
 		}
-		opts := LBOptions{Workspace: e.ws, WarmStart: true, sc: &e.sc}
-		opts.seeds = e.validCuts(p)
-		opts.onCut = func(t graph.NodeID, cut []int) { e.recordCut(p.Source, t, cut) }
-		return MulticastLBWith(p, opts)
+		return e.multicastLB(p)
 	})
 }
 
 // BroadcastEB evaluates the exact broadcast period of the active
 // platform: Multicast-LB with every active node as a target (so it
-// shares cache entries and cut pools with MulticastLB).
+// shares cache entries and cut pools with MulticastLB). The paper
+// (with [6, 5]) proves this bound is achieved by an actual broadcast
+// schedule, so the period is exact. If some active node is unreachable
+// the result is +Inf, the convention REDUCED BROADCAST relies on.
 func (e *Evaluator) BroadcastEB(g *graph.Graph, source graph.NodeID) (*Bound, error) {
 	if !g.Active(source) {
 		return infeasibleBound(), nil
@@ -422,16 +427,14 @@ func (e *Evaluator) BroadcastEB(g *graph.Graph, source graph.NodeID) (*Bound, er
 	return e.MulticastLB(p)
 }
 
-// MultiSourceUB evaluates MulticastMultiSource-UB, cached and seeded
-// from the pooled path columns of earlier promotion trials.
+// MultiSourceUB evaluates the paper's MulticastMultiSource-UB program
+// (multisource.go) with the intermediate sources extras, in promotion
+// order, cached and seeded from the pooled path columns of earlier
+// promotion trials.
 func (e *Evaluator) MultiSourceUB(p Problem, extras []graph.NodeID) (*Bound, error) {
 	aux := hashNodes(p.Targets, true) ^ (hashNodes(extras, false) * 0x9e3779b97f4a7c15)
 	key := evalKey{progMultiSource, fingerprintGraph(p.G), p.Source, aux}
-	return e.lookup(key, func() (*Bound, error) {
-		opts := msOptions{ws: e.ws, seeds: e.paths[p.Source]}
-		opts.onPath = func(origin, dest graph.NodeID, edges []int) { e.recordPath(p.Source, origin, dest, edges) }
-		return multiSourceUB(p, extras, opts)
-	})
+	return e.lookup(key, func() (*Bound, error) { return e.multiSourceUB(p, extras) })
 }
 
 // DropNodeBroadcast evaluates Broadcast-EB with one node removed — the
@@ -457,32 +460,6 @@ func (e *Evaluator) AddNodeBroadcast(g *graph.Graph, source, add graph.NodeID) (
 	g.Activate(add)
 	defer g.Deactivate(add)
 	return e.BroadcastEB(g, source)
-}
-
-// DropEdgeMulticast evaluates Multicast-LB with one edge removed — a
-// single link failure, the edge counterpart of DropNodeBroadcast —
-// restoring the edge mask before returning. Pooled cuts whose edge
-// sets survive the removal keep seeding the cutting plane, so failure
-// trials re-solve warm instead of re-peeling every cut.
-func (e *Evaluator) DropEdgeMulticast(p Problem, edge int) (*Bound, error) {
-	if p.G.EdgeDisabled(edge) {
-		return e.MulticastLB(p)
-	}
-	p.G.DisableEdge(edge)
-	defer p.G.EnableEdge(edge)
-	return e.MulticastLB(p)
-}
-
-// ScaleEdgeMulticast evaluates Multicast-LB with one edge's cost
-// multiplied by factor (> 1 models a degraded link), restoring the
-// original cost before returning. A cost change never invalidates a
-// pooled cut — cuts are edge sets, not costs — so degradation trials
-// inherit the baseline's full cut pool.
-func (e *Evaluator) ScaleEdgeMulticast(p Problem, edge int, factor float64) (*Bound, error) {
-	old := p.G.Edge(edge).Cost
-	p.G.SetEdgeCost(edge, old*factor)
-	defer p.G.SetEdgeCost(edge, old)
-	return e.MulticastLB(p)
 }
 
 // PromoteSource evaluates MulticastMultiSource-UB with one more

@@ -10,8 +10,9 @@ import (
 )
 
 // TestEvaluatorMatchesDirectCalls checks every Evaluator program
-// against its package-level counterpart on random platforms: caching,
-// workspace reuse and pooled warm starts must not change any value.
+// against a fresh LP-only evaluator per call on random platforms:
+// caching, workspace reuse and pooled warm starts must not change any
+// value.
 func TestEvaluatorMatchesDirectCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
@@ -32,10 +33,10 @@ func TestEvaluatorMatchesDirectCalls(t *testing.T) {
 			}
 		}
 		checks := []pair{
-			{"ScatterUB", func() (*Bound, error) { return ev.ScatterUB(p) }, func() (*Bound, error) { return ScatterUB(p) }},
-			{"MulticastLB", func() (*Bound, error) { return ev.MulticastLB(p) }, func() (*Bound, error) { return MulticastLB(p) }},
-			{"BroadcastEB", func() (*Bound, error) { return ev.BroadcastEB(p.G, p.Source) }, func() (*Bound, error) { return BroadcastEB(p.G, p.Source) }},
-			{"MultiSourceUB", func() (*Bound, error) { return ev.MultiSourceUB(p, extra) }, func() (*Bound, error) { return MultiSourceUB(p, extra) }},
+			{"ScatterUB", func() (*Bound, error) { return ev.ScatterUB(p) }, func() (*Bound, error) { return lpEvaluator().ScatterUB(p) }},
+			{"MulticastLB", func() (*Bound, error) { return ev.MulticastLB(p) }, func() (*Bound, error) { return lpEvaluator().MulticastLB(p) }},
+			{"BroadcastEB", func() (*Bound, error) { return ev.BroadcastEB(p.G, p.Source) }, func() (*Bound, error) { return lpEvaluator().BroadcastEB(p.G, p.Source) }},
+			{"MultiSourceUB", func() (*Bound, error) { return ev.MultiSourceUB(p, extra) }, func() (*Bound, error) { return lpEvaluator().MultiSourceUB(p, extra) }},
 		}
 		for _, c := range checks {
 			got, err := c.got()
@@ -105,7 +106,7 @@ func TestEvaluatorTrialOpsRestoreMask(t *testing.T) {
 		t.Fatal("DropNodeBroadcast left the node deactivated")
 	}
 	g.Deactivate(r)
-	want, err := BroadcastEB(g, s)
+	want, err := lpEvaluator().BroadcastEB(g, s)
 	g.Activate(r)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestEvaluatorTrialOpsRestoreMask(t *testing.T) {
 		t.Fatal("AddNodeBroadcast left the node activated")
 	}
 	g.Activate(r)
-	full, err := BroadcastEB(g, s)
+	full, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEvaluatorTrialOpsRestoreMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := MultiSourceUB(p, []graph.NodeID{r})
+	ref, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestEvaluatorWarmAndPooledCuts(t *testing.T) {
 	}
 	g2 := pl.G.Clone()
 	g2.Deactivate(drop)
-	want, err := BroadcastEB(g2, pl.Source)
+	want, err := lpEvaluator().BroadcastEB(g2, pl.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +297,22 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// TestEvaluatorEdgeTrialOps checks DropEdgeMulticast and
-// ScaleEdgeMulticast: the trials evaluate the perturbed platform,
-// match direct solves on a mutated clone, and restore the edge mask
-// and costs before returning.
+// trialLB evaluates Multicast-LB on p's platform perturbed by d and
+// undoes d before returning: the edge trial the what-if engine runs
+// through graph.Delta.
+func trialLB(ev *Evaluator, p Problem, d graph.Delta) (*Bound, error) {
+	undo, err := d.Apply(p.G)
+	if err != nil {
+		return nil, err
+	}
+	defer undo.Apply(p.G)
+	return ev.MulticastLB(p)
+}
+
+// TestEvaluatorEdgeTrialOps checks the edge trials (a link failure and
+// a degraded link, applied as a graph.Delta and undone): they evaluate
+// the perturbed platform, match direct solves on a mutated clone, and
+// restore the edge mask and costs before returning.
 func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	g := graph.New()
 	s := g.AddNode("S")
@@ -314,12 +327,12 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	}
 	ev := NewEvaluator()
 
-	drop, err := ev.DropEdgeMulticast(p, sr)
+	drop, err := trialLB(ev, p, graph.Delta{graph.DisableEdgeOp(sr)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.EdgeDisabled(sr) {
-		t.Fatal("DropEdgeMulticast left the edge disabled")
+		t.Fatal("drop-edge trial left the edge disabled")
 	}
 	gd := g.Clone()
 	gd.DisableEdge(sr)
@@ -327,7 +340,7 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDrop, err := MulticastLB(pd)
+	wantDrop, err := lpEvaluator().MulticastLB(pd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +348,12 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 		t.Errorf("drop-edge trial period %v, want %v", drop.Period, wantDrop.Period)
 	}
 
-	scale, err := ev.ScaleEdgeMulticast(p, sr, 10)
+	scale, err := trialLB(ev, p, graph.Delta{graph.ScaleEdgeCostOp(sr, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Edge(sr).Cost; got != 1 {
-		t.Fatalf("ScaleEdgeMulticast left cost %v, want 1", got)
+		t.Fatalf("scale-edge trial left cost %v, want 1", got)
 	}
 	gs := g.Clone()
 	gs.SetEdgeCost(sr, 10)
@@ -348,7 +361,7 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScale, err := MulticastLB(ps)
+	wantScale, err := lpEvaluator().MulticastLB(ps)
 	if err != nil {
 		t.Fatal(err)
 	}

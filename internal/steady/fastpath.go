@@ -13,11 +13,12 @@ import (
 // Multicast-LB and Multicast-UB optima are port-occupation scans over
 // the Steiner subtree — no simplex, no cutting planes, O(V + E) per
 // bound. The evaluator consults the classifier on every non-cached
-// bound evaluation; because trial ops (DropEdgeMulticast,
-// ScaleEdgeMulticast, DropNodeBroadcast) mutate the graph before
-// re-evaluating, a what-if clone whose edge-disable mask turns the
-// platform into a tree picks the fast path up automatically — the
-// graph's mutation stamp invalidates the classifier memo and the next
+// bound evaluation; because the trial ops (DropNodeBroadcast,
+// AddNodeBroadcast), the what-if scenarios (a graph.Delta applied to
+// the scenario's own platform clone) and Replan all mutate the graph
+// before re-evaluating, a platform whose edge-disable mask turns it
+// into a tree picks the fast path up automatically — the graph's
+// mutation stamp invalidates the classifier memo and the next
 // classification sees the tree.
 //
 // Dispatch policy: the classifier errs toward ClassGeneral (parallel

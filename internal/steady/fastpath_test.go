@@ -197,18 +197,19 @@ func TestTrialOpsTakeFastPath(t *testing.T) {
 		// what-if trial must pick the fast path up mid-flight, through
 		// the stamp-invalidated classifier.
 		before := evFast.Stats()
-		fast, err1 := evFast.DropEdgeMulticast(p, chord)
-		ref, err2 := evLP.DropEdgeMulticast(p, chord)
+		drop := graph.Delta{graph.DisableEdgeOp(chord)}
+		fast, err1 := trialLB(evFast, p, drop)
+		ref, err2 := trialLB(evLP, p, drop)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 		}
-		requireAgreement(t, "DropEdgeMulticast", fast, ref, 1e-9)
+		requireAgreement(t, "drop-edge trial", fast, ref, 1e-9)
 		d := evFast.Stats().Delta(before)
 		if d.FastPathHits != 1 {
-			t.Fatalf("trial %d: DropEdgeMulticast fast-path hits = %d, want 1", trial, d.FastPathHits)
+			t.Fatalf("trial %d: drop-edge trial fast-path hits = %d, want 1", trial, d.FastPathHits)
 		}
 		if d.Solves != 0 {
-			t.Fatalf("trial %d: DropEdgeMulticast ran %d LP solves on a tree", trial, d.Solves)
+			t.Fatalf("trial %d: drop-edge trial ran %d LP solves on a tree", trial, d.Solves)
 		}
 
 		// The mask is restored on return, so the same evaluator now
@@ -239,12 +240,13 @@ func TestScaleAndDropNodeFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for edge := 0; edge < g.NumEdges(); edge += 3 {
-		fast, err1 := evFast.ScaleEdgeMulticast(p, edge, 2.5)
-		ref, err2 := evLP.ScaleEdgeMulticast(p, edge, 2.5)
+		scale := graph.Delta{graph.ScaleEdgeCostOp(edge, 2.5)}
+		fast, err1 := trialLB(evFast, p, scale)
+		ref, err2 := trialLB(evLP, p, scale)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("edge %d: %v / %v", edge, err1, err2)
 		}
-		requireAgreement(t, "ScaleEdgeMulticast", fast, ref, 1e-9)
+		requireAgreement(t, "scale-edge trial", fast, ref, 1e-9)
 	}
 	// Dropping a leaf keeps the rest reachable; dropping an internal
 	// node cuts its subtree off and broadcast must go infeasible. Both
@@ -278,8 +280,9 @@ func TestFastPathInfeasibleOnMaskedTree(t *testing.T) {
 	}
 	evFast := NewEvaluator()
 	evLP := lpEvaluator()
-	fast, err1 := evFast.DropEdgeMulticast(p, e1)
-	ref, err2 := evLP.DropEdgeMulticast(p, e1)
+	drop := graph.Delta{graph.DisableEdgeOp(e1)}
+	fast, err1 := trialLB(evFast, p, drop)
+	ref, err2 := trialLB(evLP, p, drop)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v / %v", err1, err2)
 	}

@@ -12,30 +12,24 @@ import (
 // per-target formulation (normalised to throughput form): one flow
 // x^i per target of value rho under shared optimistic loads
 // n(e) >= x^i(e). Polynomial-size but with |targets| * |edges|
-// variables, so it is used for sparse target sets, where the
-// cut-covering master of MulticastLB is known to wander (see
-// solveLBMaster); for dense target sets the cutting plane is far
-// smaller and converges quickly.
+// variables, so multicastLB uses it for sparse target sets, where the
+// cut-covering master is known to wander; for dense target sets the
+// cutting plane is far smaller and converges quickly. Like the cut
+// master it expects a reachable target set and the active edges in
+// e.sc.edges.
 //
 // Variable indices are arithmetic — rho, then the n block in
 // active-edge order, then one x block per target — so no per-target
 // edge-to-variable map is ever built.
-func multicastLBDirect(p Problem, ws *lp.Workspace, sc *scratch, noPresolve bool) (*Bound, error) {
+func (e *Evaluator) multicastLBDirect(p Problem) (*Bound, error) {
 	g := p.G
-	if !g.ReachesAll(p.Source, p.Targets) {
-		return infeasibleBound(), nil
-	}
 	scale := g.MaxCost()
 	if scale <= 0 {
 		return infeasibleBound(), nil
 	}
-	if sc == nil {
-		sc = &scratch{}
-		sc.edges = g.AppendActiveEdges(sc.edges[:0])
-	}
+	sc := &e.sc
 	edges := sc.edges
 	m := lp.NewModel()
-	m.SetPresolve(!noPresolve)
 	m.Maximize()
 	rhoVar := m.AddVar(1, "rho")
 	nVar := sc.growVarOf(g.NumEdges())
@@ -88,7 +82,7 @@ func multicastLBDirect(p Problem, ws *lp.Workspace, sc *scratch, noPresolve bool
 			m.AddRow(lp.LE, 0, lp.Term{Var: xv(id), Coef: 1}, lp.Term{Var: int(nVar[id]), Coef: -1})
 		}
 	}
-	sol, err := m.SolveWith(ws)
+	sol, err := m.SolveWith(e.ws)
 	if err != nil {
 		return nil, err
 	}

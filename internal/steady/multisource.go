@@ -9,7 +9,7 @@ import (
 	"repro/internal/lp"
 )
 
-// MultiSourceUB solves the paper's MulticastMultiSource-UB program
+// multiSourceUB solves the paper's MulticastMultiSource-UB program
 // (Section 5.2.3): a scatter-like multicast in which an ordered list of
 // intermediate sources {s_0 = Psource, s_1, ..., s_l} relays full
 // copies of the message. Each intermediate source s_i must receive the
@@ -36,29 +36,9 @@ import (
 // dual-adjusted edge costs, solved by one Dijkstra per origin. The
 // master is built once and only grows: every pricing round appends its
 // improving paths as columns (lp.Model.AddColumn) and re-solves warm
-// from the previous basis.
-func MultiSourceUB(p Problem, extras []graph.NodeID) (*Bound, error) {
-	return multiSourceUB(p, extras, msOptions{})
-}
-
-// msOptions threads Evaluator state through the multisource solver:
-// a reusable workspace, pooled path columns from earlier related
-// solves, and an observer for newly priced-in paths.
-type msOptions struct {
-	ws     *lp.Workspace
-	seeds  []pooledPath
-	onPath func(origin, dest graph.NodeID, edges []int)
-}
-
-// pooledPath is a path column discovered by an earlier solve: an
-// origin-to-destination path, reusable as a seed column whenever its
-// origin is still allowed to feed its destination.
-type pooledPath struct {
-	origin, dest graph.NodeID
-	edges        []int
-}
-
-func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, error) {
+// from the previous basis. The master is seeded with the evaluator's
+// pooled path columns, and every priced-in path joins the pool.
+func (e *Evaluator) multiSourceUB(p Problem, extras []graph.NodeID) (*Bound, error) {
 	g := p.G
 	origins := append([]graph.NodeID{p.Source}, extras...)
 	seen := make(map[graph.NodeID]bool, len(origins))
@@ -113,9 +93,7 @@ func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, er
 		poolKey[key] = true
 		pool = append(pool, msPath{dest: di, edges: append([]int(nil), edges...)})
 		m.addColumn(di, pool[len(pool)-1].edges)
-		if opts.onPath != nil {
-			opts.onPath(origin, dests[di].node, edges)
-		}
+		e.recordPath(p.Source, origin, dests[di].node, edges)
 		return true
 	}
 	// Seed columns: pooled paths whose origin may still feed their
@@ -123,7 +101,7 @@ func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, er
 	// are all still active), then a cheapest path from the primary
 	// source to each destination (origin 0 is allowed for every
 	// destination).
-	for _, s := range opts.seeds {
+	for _, s := range e.paths[p.Source] {
 		di, ok := destIndex[s.dest]
 		if !ok {
 			continue
@@ -148,10 +126,6 @@ func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, er
 		addPath(di, g.WalkBack(parent, d.node), p.Source)
 	}
 
-	ws := opts.ws
-	if ws == nil {
-		ws = lp.NewWorkspace()
-	}
 	bound := &Bound{}
 	var basis lp.Basis
 	const maxRounds = 400
@@ -159,7 +133,7 @@ func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, er
 		if round >= maxRounds {
 			return nil, errors.New("steady: MultiSourceUB column generation did not converge")
 		}
-		period, loads, mu, alpha, beta, err := m.solve(ws, &basis, bound, pool)
+		period, loads, mu, alpha, beta, err := m.solve(e.ws, &basis, bound, pool)
 		if err != nil {
 			return nil, err
 		}
@@ -199,6 +173,14 @@ func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, er
 			return bound, nil
 		}
 	}
+}
+
+// pooledPath is a path column discovered by an earlier solve: an
+// origin-to-destination path, reusable as a seed column whenever its
+// origin is still allowed to feed its destination.
+type pooledPath struct {
+	origin, dest graph.NodeID
+	edges        []int
 }
 
 type msDest struct {

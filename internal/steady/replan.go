@@ -6,12 +6,11 @@ import (
 	"repro/internal/graph"
 )
 
-// Incremental replanning: the live serving path (internal/live) and
-// any online controller built on the library turn platform mutation
-// events into updated bounds without rebuilding an evaluator per
-// event. Replan applies a graph.Delta in place and re-evaluates on the
-// same evaluator, so everything the previous solves learned stays
-// warm:
+// Incremental replanning: an online controller built on the library
+// turns platform mutation events into updated bounds without
+// rebuilding an evaluator per event. Replan applies a graph.Delta in
+// place and re-evaluates on the same evaluator, so everything the
+// previous solves learned stays warm:
 //
 //   - The per-source cut pools seed the Multicast-LB cutting plane
 //     with the incumbent cuts of the previous version (BFS-revalidated
@@ -55,48 +54,42 @@ type ReplanResult struct {
 }
 
 // Replan applies delta to p.G in place — permanently, unlike the
-// trial ops (DropEdgeMulticast etc.), which restore the graph before
-// returning — and re-evaluates the multicast bounds warm on e. On any
-// error (invalid delta, or the delta invalidated the problem by
-// dropping the source or a target) the delta is rolled back and p.G is
-// exactly as before the call.
+// trial ops (DropNodeBroadcast etc.), which restore the graph before
+// returning — and re-evaluates the multicast bounds warm on e. It
+// revalidates the problem, since the delta may deactivate the source
+// or a target, and reports the event's incremental solver effort. An
+// empty delta re-evaluates the current graph.
+//
+// On any error (an invalid delta, or one that invalidates the
+// problem) the delta is rolled back through its undo, which restores
+// state ops exactly; nodes and edges added by structural ops stay in
+// the graph, deactivated or disabled (see graph.Delta).
 func (e *Evaluator) Replan(p Problem, delta graph.Delta) (*ReplanResult, error) {
 	undo, err := delta.Apply(p.G)
 	if err != nil {
 		return nil, fmt.Errorf("steady: replan: %w", err)
 	}
-	res, err := e.ReplanCurrent(p)
-	if err != nil {
+	fail := func(err error) (*ReplanResult, error) {
 		undo.Apply(p.G)
 		return nil, err
 	}
-	return res, nil
-}
-
-// ReplanCurrent re-evaluates the bounds for p's current graph state on
-// the warm evaluator, for callers that already applied their delta
-// (the serving registry mutates a private clone and publishes it). It
-// revalidates the problem — mutation may have deactivated the source
-// or a target — and reports the incremental solver effort.
-func (e *Evaluator) ReplanCurrent(p Problem) (*ReplanResult, error) {
 	vp, err := NewProblem(p.G, p.Source, p.Targets)
 	if err != nil {
-		return nil, fmt.Errorf("steady: replan: %w", err)
+		return fail(fmt.Errorf("steady: replan: %w", err))
 	}
 	before := e.Stats()
 	lb, err := e.MulticastLB(vp)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	scatter, err := e.ScatterUB(vp)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	after := e.Stats()
 	return &ReplanResult{
 		LB:          lb,
 		Scatter:     scatter,
-		Stats:       after.Delta(before),
+		Stats:       e.Stats().Delta(before),
 		TreeRouted:  !e.noFastPath && e.TreeClass(vp.G, vp.Source) == graph.ClassTree,
 		Fingerprint: Fingerprint(vp.G),
 	}, nil

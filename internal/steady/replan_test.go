@@ -79,7 +79,7 @@ func TestReplanWarmMatchesColdAcrossDeltas(t *testing.T) {
 	ev := NewEvaluator()
 	// Baseline solve to warm the pools, then a churn sequence: degrade,
 	// fail, recover, reprice.
-	if _, err := ev.ReplanCurrent(p); err != nil {
+	if _, err := ev.Replan(p, nil); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	events := []struct {
@@ -131,7 +131,7 @@ func TestReplanCrossesTreeBoundary(t *testing.T) {
 	}
 
 	ev := NewEvaluator()
-	base, err := ev.ReplanCurrent(p)
+	base, err := ev.Replan(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestReplanRollsBackOnError(t *testing.T) {
 func TestReplanStatsAreIncremental(t *testing.T) {
 	_, p := replanGeneralPlatform(t)
 	ev := NewEvaluator()
-	first, err := ev.ReplanCurrent(p)
+	first, err := ev.Replan(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReplanStatsAreIncremental(t *testing.T) {
 	}
 	// Re-evaluating the unchanged platform answers from the result
 	// cache: no new solves.
-	again, err := ev.ReplanCurrent(p)
+	again, err := ev.Replan(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

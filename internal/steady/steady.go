@@ -19,6 +19,11 @@
 //     paper proves this bound is achievable for broadcast, so it is the
 //     exact broadcast period.
 //   - MulticastMultiSource-UB aggregates commodities per origin.
+//
+// Every program is solved through an Evaluator (evaluator.go), which
+// caches results, pools cuts and path columns across related solves,
+// reuses one LP workspace and answers tree platforms combinatorially
+// (fastpath.go).
 package steady
 
 import (
@@ -129,10 +134,8 @@ func infeasibleBound() *Bound { return &Bound{Period: math.Inf(1)} }
 // scratch pools the per-evaluation buffers of the steady-state
 // programs: the flow solver's residual network, active-edge and node
 // ID lists, the edge-to-variable index, LP term builders, and the
-// BFS/layer-cut workspaces. An Evaluator owns one, so long heuristic
-// runs stop reallocating these on every trial evaluation; the
-// package-level entry points use a private one per call, which keeps
-// their behaviour (and their outputs, bit for bit) unchanged.
+// BFS/layer-cut workspaces. Every Evaluator owns one, so long heuristic
+// runs stop reallocating these on every trial evaluation.
 type scratch struct {
 	flow     flow.Solver
 	edges    []int     // active-edge ID buffer
@@ -189,24 +192,18 @@ func addPortRows(m *lp.Model, g *graph.Graph, varOf []int32, sc *scratch) {
 	}
 }
 
-// ScatterUB solves the paper's Multicast-UB program: the pessimistic
-// relaxation in which the messages bound for distinct targets are
-// counted separately on every link (a scatter). Its period is an upper
-// bound on the optimal multicast period, and the bound is achievable
-// (Section 5.1.2 of the paper).
-func ScatterUB(p Problem) (*Bound, error) { return scatterUB(p, nil, nil) }
-
-// scatterUB is ScatterUB on a caller-supplied LP workspace and scratch
-// (nil for private ones); the Evaluator routes through it to reuse
-// allocations across a whole heuristic run.
-func scatterUB(p Problem, ws *lp.Workspace, sc *scratch) (*Bound, error) {
+// scatterUB solves the paper's Multicast-UB program on the LP (see
+// Evaluator.ScatterUB): the pessimistic relaxation in which the
+// messages bound for distinct targets are counted separately on every
+// link (a scatter). Its period is an upper bound on the optimal
+// multicast period, and the bound is achievable (Section 5.1.2 of the
+// paper).
+func (e *Evaluator) scatterUB(p Problem) (*Bound, error) {
 	g := p.G
 	if !g.ReachesAll(p.Source, p.Targets) {
 		return infeasibleBound(), nil
 	}
-	if sc == nil {
-		sc = &scratch{}
-	}
+	sc := &e.sc
 	m := lp.NewModel()
 	m.Maximize()
 	rhoVar := m.AddVar(1, "rho")
@@ -245,7 +242,7 @@ func scatterUB(p Problem, ws *lp.Workspace, sc *scratch) (*Bound, error) {
 		m.AddRow(lp.EQ, 0, terms...)
 	}
 	addPortRows(m, g, fVar, sc)
-	sol, err := m.SolveWith(ws)
+	sol, err := m.SolveWith(e.ws)
 	if err != nil {
 		return nil, err
 	}
@@ -265,10 +262,11 @@ func scatterUB(p Problem, ws *lp.Workspace, sc *scratch) (*Bound, error) {
 	return b, nil
 }
 
-// MulticastLB solves the paper's Multicast-LB program: the optimistic
-// relaxation in which messages bound for distinct targets may share
-// links for free (n(e) = max_i x^i(e)). Its period is a lower bound on
-// the optimal multicast period, not achievable in general (Figure 4).
+// multicastLB solves the paper's Multicast-LB program on the LP (see
+// Evaluator.MulticastLB): the optimistic relaxation in which messages
+// bound for distinct targets may share links for free
+// (n(e) = max_i x^i(e)). Its period is a lower bound on the optimal
+// multicast period, not achievable in general (Figure 4).
 //
 // Two equivalent formulations are used depending on the target count.
 // Sparse target sets use the paper's direct per-target formulation
@@ -276,75 +274,39 @@ func scatterUB(p Problem, ws *lp.Workspace, sc *scratch) (*Bound, error) {
 // cut-covering master with min-cut separation, which is tiny and
 // converges quickly when most nodes are targets but wanders through
 // near-duplicate cuts when they are sparse. Both were cross-validated
-// to produce identical values.
-func MulticastLB(p Problem) (*Bound, error) {
-	return MulticastLBWith(p, LBOptions{WarmStart: true})
+// to produce identical values. Both expect a reachable target set and
+// the active edges in e.sc.edges, which this dispatch establishes.
+func (e *Evaluator) multicastLB(p Problem) (*Bound, error) {
+	g := p.G
+	if !g.ReachesAll(p.Source, p.Targets) {
+		return infeasibleBound(), nil
+	}
+	e.sc.edges = g.AppendActiveEdges(e.sc.edges[:0])
+	// Estimated direct-formulation row count; below the cap the direct
+	// LP is cheap and immune to cut thrashing.
+	nodes := g.NumActive()
+	if len(p.Targets)*(nodes+len(e.sc.edges))+2*nodes <= 4600 {
+		return e.multicastLBDirect(p)
+	}
+	return e.multicastLBCuts(p)
 }
 
-// LBOptions tunes the Multicast-LB solver (and BroadcastEBWith, which
-// is Multicast-LB over the full platform).
-type LBOptions struct {
-	// Workspace, when non-nil, supplies the reusable LP workspace; the
-	// zero value allocates a private one. A workspace must not be
-	// shared between goroutines.
-	Workspace *lp.Workspace
-	// WarmStart re-solves each cutting-plane round from the previous
-	// round's optimal basis — the appended cut rows are repaired by
-	// dual-simplex pivots — instead of re-solving the master from
-	// scratch. MulticastLB enables it; disabling it gives the cold
-	// baseline the benchmarks compare against.
-	WarmStart bool
-	// NoPresolve skips the LP presolve reductions on every model this
-	// solve builds — the un-presolved baseline the tree fast-path
-	// benchmarks compare against.
-	NoPresolve bool
-
-	// seeds are pre-validated source->target cuts used to prime the cut
-	// pool (Evaluator reuse across related platforms); onCut observes
-	// every cut the separation generates; sc supplies the pooled
-	// evaluation scratch (nil allocates a private one per call).
-	seeds []seedCut
-	onCut func(target graph.NodeID, cut []int)
-	sc    *scratch
-}
-
+// seedCut is a pooled source->target cut: the target it separated and
+// its edges.
 type seedCut struct {
 	target graph.NodeID
 	edges  []int
 }
 
-// MulticastLBWith is MulticastLB with explicit solver options. Both
-// formulations honour the workspace; WarmStart only concerns the
-// cutting-plane regime (the direct form is a single solve).
-func MulticastLBWith(p Problem, opts LBOptions) (*Bound, error) {
-	g := p.G
-	if !g.ReachesAll(p.Source, p.Targets) {
-		return infeasibleBound(), nil
-	}
-	// Estimated direct-formulation row count; below the cap the direct
-	// LP is cheap and immune to cut thrashing.
-	if opts.sc == nil {
-		opts.sc = &scratch{}
-	}
-	nodes := g.NumActive()
-	opts.sc.edges = g.AppendActiveEdges(opts.sc.edges[:0])
-	arcs := len(opts.sc.edges)
-	if len(p.Targets)*(nodes+arcs)+2*nodes <= 4600 {
-		return multicastLBDirect(p, opts.Workspace, opts.sc, opts.NoPresolve)
-	}
-	return multicastLBCuts(p, opts)
-}
-
 // multicastLBCuts solves Multicast-LB by cut-covering with min-cut
-// separation (the dense-target regime of MulticastLB). The master LP is
+// separation (the dense-target regime of multicastLB). The master LP is
 // built once and then only grows: every separation round appends its
-// violated cut rows to the same model and, under opts.WarmStart,
-// re-solves from the previous round's basis.
-func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
+// violated cut rows to the same model and re-solves from the previous
+// round's basis, the appended rows repaired by dual-simplex pivots.
+// The master is primed with the evaluator's pooled cuts that are still
+// valid for p, and every new cut joins the pool.
+func (e *Evaluator) multicastLBCuts(p Problem) (*Bound, error) {
 	g := p.G
-	if !g.ReachesAll(p.Source, p.Targets) {
-		return infeasibleBound(), nil
-	}
 	// Normalise the edge costs for conditioning: with c <= 1 the
 	// optimal rho is O(1) instead of O(1/maxCost).
 	scale := g.MaxCost()
@@ -352,14 +314,9 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 		return infeasibleBound(), nil
 	}
 
-	sc := opts.sc
-	if sc == nil {
-		sc = &scratch{}
-		sc.edges = g.AppendActiveEdges(sc.edges[:0])
-	}
+	sc := &e.sc
 	edges := sc.edges
 	master := lp.NewModel()
-	master.SetPresolve(!opts.NoPresolve)
 	master.Maximize()
 	rhoVar := master.AddVar(1, "rho")
 	nVar := sc.growVarOf(g.NumEdges())
@@ -387,9 +344,7 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 		terms = append(terms, lp.Term{Var: rhoVar, Coef: -1})
 		master.AddRow(lp.GE, 0, terms...)
 		sc.terms = terms[:0]
-		if opts.onCut != nil {
-			opts.onCut(target, cut)
-		}
+		e.recordCut(p.Source, target, cut)
 		return true
 	}
 	// Prime with any pooled cuts from earlier, related solves, then the
@@ -399,7 +354,7 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 	// separator for every k below the source's distance. Without the
 	// layer seeds the separation peels these one per round ("onion
 	// peeling"), the textbook slow mode of Kelley cutting planes.
-	for _, s := range opts.seeds {
+	for _, s := range e.validCuts(p) {
 		addCut(s.target, s.edges)
 	}
 	sc.buf = g.OutEdges(p.Source, sc.buf[:0])
@@ -410,10 +365,6 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 		layerCuts(g, p.Source, t, sc, func(cut []int) { addCut(t, cut) })
 	}
 
-	ws := opts.Workspace
-	if ws == nil {
-		ws = lp.NewWorkspace()
-	}
 	bound := &Bound{}
 	var basis lp.Basis
 	if cap(sc.capacity) < g.NumEdges() {
@@ -431,7 +382,7 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 			// falling. The direct form is exact at any size, so hand
 			// the instance over to it; the cut work done so far stays
 			// on the bound's counters.
-			direct, err := multicastLBDirect(p, ws, sc, opts.NoPresolve)
+			direct, err := e.multicastLBDirect(p)
 			if err != nil {
 				return nil, err
 			}
@@ -444,10 +395,10 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 		}
 		var sol *lp.Solution
 		var err error
-		if opts.WarmStart && !basis.Empty() {
-			sol, err = master.SolveFrom(ws, basis)
+		if basis.Empty() {
+			sol, err = master.SolveWith(e.ws)
 		} else {
-			sol, err = master.SolveWith(ws)
+			sol, err = master.SolveFrom(e.ws, basis)
 		}
 		if err != nil {
 			return nil, err
@@ -577,74 +528,32 @@ func cutKey(cut []int) string {
 	return sb.String()
 }
 
-// BroadcastEB computes the optimal steady-state broadcast period on the
-// active part of g: Multicast-LB with every active node (except the
-// source) as a target. The paper (with [6, 5]) proves this bound is
-// achieved by an actual broadcast schedule, so the returned period is
-// exact. If some active node is unreachable the result is +Inf, the
-// convention used by the REDUCED BROADCAST heuristic.
-func BroadcastEB(g *graph.Graph, source graph.NodeID) (*Bound, error) {
-	return BroadcastEBWith(g, source, LBOptions{WarmStart: true})
-}
-
-// BroadcastEBWith is BroadcastEB with explicit solver options (see
-// LBOptions).
-func BroadcastEBWith(g *graph.Graph, source graph.NodeID, opts LBOptions) (*Bound, error) {
-	if !g.Active(source) {
-		return infeasibleBound(), nil
-	}
-	var targets []graph.NodeID
-	for _, v := range g.ActiveNodes() {
-		if v != source {
-			targets = append(targets, v)
-		}
-	}
-	if len(targets) == 0 {
-		return &Bound{Period: 0, EdgeLoad: make([]float64, g.NumEdges())}, nil
-	}
-	p, err := NewProblem(g, source, targets)
-	if err != nil {
-		return nil, err
-	}
-	return MulticastLBWith(p, opts)
-}
-
 // RecoverUnitFlows reconstructs the per-target variables x^i of the
 // paper's LPs from a load profile: for every target it returns a unit
-// s->target flow supported by load (per-edge capacities). Targets whose
-// max-flow falls short of one unit (possible only through numerical
-// noise) are returned with their maximum flow instead.
-func RecoverUnitFlows(g *graph.Graph, load []float64, source graph.NodeID, targets []graph.NodeID) map[graph.NodeID][]float64 {
-	var sv flow.Solver
-	return recoverUnitFlows(&sv, g, load, source, targets)
-}
-
-// RecoverUnitFlows on an Evaluator reuses the evaluator's pooled flow
-// solver, so heuristic scoring passes stop rebuilding one residual
-// network per target. The per-target flow slices are fresh (callers
-// retain them); only the solver scratch is shared.
-func (e *Evaluator) RecoverUnitFlows(g *graph.Graph, load []float64, source graph.NodeID, targets []graph.NodeID) map[graph.NodeID][]float64 {
-	return recoverUnitFlows(&e.sc.flow, g, load, source, targets)
-}
-
-func recoverUnitFlows(sv *flow.Solver, g *graph.Graph, load []float64, source graph.NodeID, targets []graph.NodeID) map[graph.NodeID][]float64 {
-	out := make(map[graph.NodeID][]float64, len(targets))
-	for _, t := range targets {
-		_, f := sv.MaxFlowUpTo(g, load, source, t, 1, nil)
-		out[t] = f
+// s->target flow supported by load (per-edge capacities), indexed like
+// targets. Targets whose max-flow falls short of one unit (possible
+// only through numerical noise) are returned with their maximum flow
+// instead. The evaluator's pooled flow solver is reused across targets
+// and calls; the per-target flow slices are fresh (callers retain
+// them).
+func (e *Evaluator) RecoverUnitFlows(g *graph.Graph, load []float64, source graph.NodeID, targets []graph.NodeID) [][]float64 {
+	out := make([][]float64, len(targets))
+	for i, t := range targets {
+		_, out[i] = e.sc.flow.MaxFlowUpTo(g, load, source, t, 1, nil)
 	}
 	return out
 }
 
 // InflowAt returns the total per-target traffic entering node m:
 // sum_i sum_{Pj in N^in(Pm)} x^{j,m}_i, the quantity the paper's
-// LP-based heuristics sort candidate nodes by.
-func InflowAt(g *graph.Graph, perTarget map[graph.NodeID][]float64, m graph.NodeID) float64 {
+// LP-based heuristics sort candidate nodes by. perTarget is
+// RecoverUnitFlows' result; the sum runs in its (target) order, so the
+// bits depend only on the flows.
+func InflowAt(g *graph.Graph, perTarget [][]float64, m graph.NodeID) float64 {
 	total := 0.0
-	var buf []int
-	buf = g.InEdges(m, buf)
+	in := g.InEdges(m, nil)
 	for _, f := range perTarget {
-		for _, id := range buf {
+		for _, id := range in {
 			total += f[id]
 		}
 	}

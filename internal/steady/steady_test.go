@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/tiers"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -89,7 +90,7 @@ func TestNewProblemValidation(t *testing.T) {
 }
 
 func TestScatterUBStar(t *testing.T) {
-	b, err := ScatterUB(star(t))
+	b, err := lpEvaluator().ScatterUB(star(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestScatterUBStar(t *testing.T) {
 }
 
 func TestMulticastLBStar(t *testing.T) {
-	b, err := MulticastLB(star(t))
+	b, err := lpEvaluator().MulticastLB(star(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestMulticastLBStar(t *testing.T) {
 
 func TestFigure5Gap(t *testing.T) {
 	p := relay(t)
-	ub, err := ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +135,11 @@ func TestFigure5Gap(t *testing.T) {
 
 func TestChainBounds(t *testing.T) {
 	p := chain(t)
-	ub, err := ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestBroadcastEBTwoNodes(t *testing.T) {
 	s := g.AddNode("S")
 	a := g.AddNode("a")
 	g.AddEdge(s, a, 2)
-	b, err := BroadcastEB(g, s)
+	b, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestBroadcastEBTwoNodes(t *testing.T) {
 func TestBroadcastEBSingleNode(t *testing.T) {
 	g := graph.New()
 	s := g.AddNode("S")
-	b, err := BroadcastEB(g, s)
+	b, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +188,8 @@ func TestUnreachableIsInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, f := range map[string]func(Problem) (*Bound, error){
-		"ScatterUB":   ScatterUB,
-		"MulticastLB": MulticastLB,
+		"ScatterUB":   lpEvaluator().ScatterUB,
+		"MulticastLB": lpEvaluator().MulticastLB,
 	} {
 		b, err := f(p)
 		if err != nil {
@@ -198,14 +199,14 @@ func TestUnreachableIsInfeasible(t *testing.T) {
 			t.Errorf("%s: expected infeasible, got period %v", name, b.Period)
 		}
 	}
-	bb, err := BroadcastEB(g, s)
+	bb, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bb.Infeasible() {
 		t.Error("BroadcastEB: expected infeasible")
 	}
-	ms, err := MultiSourceUB(p, nil)
+	ms, err := lpEvaluator().MultiSourceUB(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +217,11 @@ func TestUnreachableIsInfeasible(t *testing.T) {
 
 func TestMultiSourceEqualsScatterWithoutExtras(t *testing.T) {
 	for _, p := range []Problem{star(t), relay(t), chain(t)} {
-		ub, err := ScatterUB(p)
+		ub, err := lpEvaluator().ScatterUB(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := MultiSourceUB(p, nil)
+		ms, err := lpEvaluator().MultiSourceUB(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestMultiSourceRelayPromotion(t *testing.T) {
 	// optimal period 1 that the plain scatter bound misses by 3x.
 	p := relay(t)
 	hub, _ := p.G.NodeByName("A")
-	ms, err := MultiSourceUB(p, []graph.NodeID{hub})
+	ms, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestMultiSourceRelayPromotion(t *testing.T) {
 func TestMultiSourceChainPromotion(t *testing.T) {
 	p := chain(t)
 	a, _ := p.G.NodeByName("a")
-	ms, err := MultiSourceUB(p, []graph.NodeID{a})
+	ms, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,21 +260,21 @@ func TestMultiSourceChainPromotion(t *testing.T) {
 func TestMultiSourceValidation(t *testing.T) {
 	p := chain(t)
 	a, _ := p.G.NodeByName("a")
-	if _, err := MultiSourceUB(p, []graph.NodeID{a, a}); err == nil {
+	if _, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{a, a}); err == nil {
 		t.Error("duplicate extra source accepted")
 	}
-	if _, err := MultiSourceUB(p, []graph.NodeID{p.Source}); err == nil {
+	if _, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{p.Source}); err == nil {
 		t.Error("main source duplicated as extra accepted")
 	}
 }
 
 func TestRecoverUnitFlows(t *testing.T) {
 	p := relay(t)
-	lb, err := MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
+	flows := lpEvaluator().RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
 	if len(flows) != 3 {
 		t.Fatalf("got %d flows", len(flows))
 	}
@@ -331,12 +332,12 @@ func TestBoundOrderingProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		ub, err := ScatterUB(p)
+		ub, err := lpEvaluator().ScatterUB(p)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		lb, err := MulticastLB(p)
+		lb, err := lpEvaluator().MulticastLB(p)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -356,7 +357,7 @@ func TestBoundOrderingProperty(t *testing.T) {
 			t.Logf("seed %d: UB %v > |T|*LB %v", seed, ub.Period, float64(len(p.Targets))*lb.Period)
 			return false
 		}
-		bc, err := BroadcastEB(p.G, p.Source)
+		bc, err := lpEvaluator().BroadcastEB(p.G, p.Source)
 		if err != nil {
 			return false
 		}
@@ -376,7 +377,7 @@ func TestBoundOrderingProperty(t *testing.T) {
 				break
 			}
 		}
-		ms, err := MultiSourceUB(p, extra)
+		ms, err := lpEvaluator().MultiSourceUB(p, extra)
 		if err != nil {
 			t.Logf("seed %d: multisource: %v", seed, err)
 			return false
@@ -401,19 +402,19 @@ func TestLBLoadsAreConsistentProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		lb, err := MulticastLB(p)
+		lb, err := lpEvaluator().MulticastLB(p)
 		if err != nil || lb.Infeasible() {
 			return err == nil
 		}
-		flows := RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
-		for _, tgt := range p.Targets {
+		flows := lpEvaluator().RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
+		for ti, tgt := range p.Targets {
 			total := 0.0
 			for _, id := range p.G.InEdges(tgt, nil) {
-				total += flows[tgt][id]
+				total += flows[ti][id]
 			}
 			outOf := 0.0
 			for _, id := range p.G.OutEdges(tgt, nil) {
-				outOf += flows[tgt][id]
+				outOf += flows[ti][id]
 			}
 			if total-outOf < 1-1e-5 {
 				t.Logf("seed %d: target %v net inflow %v", seed, tgt, total-outOf)
@@ -443,6 +444,17 @@ func TestLBLoadsAreConsistentProperty(t *testing.T) {
 	}
 }
 
+// lbForm runs one Multicast-LB formulation behind multicastLB's
+// preamble (reachability and the active-edge list), bypassing its
+// size switch.
+func lbForm(ev *Evaluator, p Problem, form func(Problem) (*Bound, error)) (*Bound, error) {
+	if !p.G.ReachesAll(p.Source, p.Targets) {
+		return infeasibleBound(), nil
+	}
+	ev.sc.edges = p.G.AppendActiveEdges(ev.sc.edges[:0])
+	return form(p)
+}
+
 // Property: the two independent Multicast-LB implementations (direct
 // per-target LP and cut-covering with min-cut separation) compute the
 // same optimal period.
@@ -453,12 +465,14 @@ func TestLBFormulationsAgree(t *testing.T) {
 		if !ok {
 			return true
 		}
-		direct, err := multicastLBDirect(p, nil, nil, false)
+		ev := lpEvaluator()
+		direct, err := lbForm(ev, p, ev.multicastLBDirect)
 		if err != nil {
 			t.Logf("seed %d: direct: %v", seed, err)
 			return false
 		}
-		cuts, err := multicastLBCuts(p, LBOptions{WarmStart: true})
+		ev = lpEvaluator()
+		cuts, err := lbForm(ev, p, ev.multicastLBCuts)
 		if err != nil {
 			t.Logf("seed %d: cuts: %v", seed, err)
 			return false
@@ -477,5 +491,38 @@ func TestLBFormulationsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInflowAtDeterministic pins InflowAt's summation order: it sums
+// the per-target flows in target order, so every call on the same
+// flows returns the same bits, and so does the candidate order the
+// LP-based heuristics sort by these sums.
+func TestInflowAtDeterministic(t *testing.T) {
+	pl, err := tiers.Generate(tiers.Small(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := pl.RandomTargets(rand.New(rand.NewSource(2)), 0.8)
+	ev := NewEvaluator()
+	bc, err := ev.BroadcastEB(pl.G, pl.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := ev.RecoverUnitFlows(pl.G, bc.EdgeLoad, pl.Source, targets)
+	for _, m := range pl.G.ActiveNodes() {
+		want := 0.0
+		in := pl.G.InEdges(m, nil)
+		for ti := range targets {
+			for _, id := range in {
+				want += flows[ti][id]
+			}
+		}
+		for call := 0; call < 50; call++ {
+			if got := InflowAt(pl.G, flows, m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("node %s, call %d: InflowAt = %.17g, want %.17g (target-order sum)",
+					pl.G.Name(m), call, got, want)
+			}
+		}
 	}
 }

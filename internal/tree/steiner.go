@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/graph"
 )
@@ -160,10 +161,17 @@ func MinSteinerArborescence(g *graph.Graph, root graph.NodeID, terminals []graph
 }
 
 // bfsTreeOf extracts a BFS arborescence of the edge set union rooted at
-// root.
+// root. The adjacency lists follow edge-ID order, not map order, so the
+// tree — which edge reaches a node the union reaches twice, and the
+// order of Edges — is the same on every call.
 func bfsTreeOf(g *graph.Graph, root graph.NodeID, union map[int]bool) *Tree {
-	out := make(map[graph.NodeID][]int)
+	ids := make([]int, 0, len(union))
 	for id := range union {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	out := make(map[graph.NodeID][]int)
+	for _, id := range ids {
 		e := g.Edge(id)
 		out[e.From] = append(out[e.From], id)
 	}
