@@ -252,10 +252,11 @@ func ScaleEdgeCost(id int, factor float64) DeltaOp {
 
 // What-if resilience engine (internal/whatif, POST /v1/whatif): given
 // an instance, evaluate node failures, per-edge link failures and
-// bandwidth degradations, and secondary-source promotions — each on an
-// evaluator clone warm-started from the baseline solve — and rank the
-// critical nodes and edges. Reports are bit-identical for any worker
-// count; see DESIGN.md Section 10.
+// bandwidth degradations, and secondary-source promotions — each
+// answered from the baseline optimum when it cannot move it, or else
+// solved on an evaluator warm-started from the baseline solve — and
+// rank the critical nodes and edges. Reports are bit-identical for any
+// worker count; see DESIGN.md Section 10.
 type (
 	// WhatifConfig selects the scenario family and worker count.
 	WhatifConfig = whatif.Config

@@ -647,13 +647,15 @@ func BenchmarkServePlanBatch(b *testing.B) {
 	b.ReportMetric(float64(srv.Shards()), "shards")
 }
 
-// --- What-if resilience engine: warm clones vs cold replans ----------
+// --- What-if resilience engine: warm restores vs cold replans --------
 
 // BenchmarkWhatifWarm and ...Cold run the same node-failure what-if
 // family on a broadcast-shaped instance of the Figure 11 big platform
 // — the cutting-plane regime of Multicast-LB. Warm evaluates every
-// scenario on a clone of the baseline evaluator, inheriting its pooled
-// cuts; Cold replans each scenario from scratch. The reported
+// scenario on an evaluator restored to the baseline snapshot,
+// inheriting its pooled cuts; Cold replans each scenario from scratch.
+// (Every failed node is a target, so no scenario is answered from the
+// baseline optimum and both sides solve all of them.) The reported
 // simplex-iters metric is the acceptance criterion: warm must pivot at
 // least 2x less for the same (bit-identical) criticality report.
 func BenchmarkWhatifWarm(b *testing.B) { benchWhatif(b, false) }

@@ -178,7 +178,8 @@ func runWhatif(p steady.Problem, factorList string) error {
 		r := rep.Results[best]
 		fmt.Printf("best source promotion: %s (%+.6f throughput)\n", g.Name(r.Node), r.Delta)
 	}
-	fmt.Printf("solver: baseline %v; scenarios %v\n", rep.BaselineStats, rep.ScenarioStats)
+	fmt.Printf("solver: baseline %v; scenarios %v; %d scenarios answered from the baseline optimum\n",
+		rep.BaselineStats, rep.ScenarioStats, rep.DominatedScenarios)
 	return nil
 }
 

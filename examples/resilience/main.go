@@ -2,7 +2,7 @@
 // daemon — upload a platform, then POST /v1/whatif and watch the
 // per-scenario NDJSON lines arrive as the shard pool evaluates node
 // failures, link failures and source promotions on warm-started
-// evaluator clones, followed by the criticality summary.
+// evaluators, followed by the criticality summary.
 //
 // By default the example starts an in-process daemon on a loopback
 // listener so it is self-contained; point it at a running daemon with

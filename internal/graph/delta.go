@@ -272,11 +272,12 @@ func (g *Graph) applyOp(op DeltaOp) DeltaOp {
 
 // Apply applies the delta to g front to back and returns the undo
 // delta that restores the prior state (see the package comment on
-// structural ops: their undo is logical, not physical). If any op
-// fails validation, every op already applied is rolled back through
-// that undo: state ops are restored exactly, but a node or edge that
-// an earlier structural op added stays in g, deactivated or disabled
-// (so a retry of the same delta fails on the duplicate node name).
+// structural ops: their undo is logical, not physical). Application is
+// atomic: if any op fails validation, g is exactly as before the call.
+// The applied prefix of a failed delta is rolled back through its
+// undo, which restores state ops exactly; since the undo of an added
+// node or edge cannot remove it, a delta with a structural op before
+// its last op is first validated on a clone (Validate).
 //
 // The undo delta is ordered for direct application: applying it with
 // Apply (or op by op, front to back) restores the prior state. Ops
@@ -284,6 +285,30 @@ func (g *Graph) applyOp(op DeltaOp) DeltaOp {
 // disabled edge, setting a cost to its current value) apply as no-ops
 // and contribute nothing to the undo.
 func (d Delta) Apply(g *Graph) (undo Delta, err error) {
+	if d.growsBeforeLast() {
+		if err := d.Validate(g); err != nil {
+			return nil, err
+		}
+	}
+	return d.apply(g)
+}
+
+// growsBeforeLast reports whether a structural op (DeltaAddNode,
+// DeltaAddEdge) precedes another op of the delta: only then can a
+// failed validation find the platform already grown. State-only and
+// single-op deltas need no dry run.
+func (d Delta) growsBeforeLast() bool {
+	for _, op := range d[:max(len(d)-1, 0)] {
+		if op.Kind == DeltaAddNode || op.Kind == DeltaAddEdge {
+			return true
+		}
+	}
+	return false
+}
+
+// apply is Apply without the structural pre-check: on a validation
+// failure it rolls the applied prefix back through its undo.
+func (d Delta) apply(g *Graph) (undo Delta, err error) {
 	for _, op := range d {
 		if err := g.validateOp(op); err != nil {
 			// Roll back the applied prefix; undo is already in reverse-
@@ -308,6 +333,6 @@ func (d Delta) Apply(g *Graph) (undo Delta, err error) {
 // ops' effects — require a real application, so Validate applies to a
 // clone.)
 func (d Delta) Validate(g *Graph) error {
-	_, err := d.Apply(g.Clone())
+	_, err := d.apply(g.Clone())
 	return err
 }

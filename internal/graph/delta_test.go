@@ -182,6 +182,31 @@ func TestDeltaStructuralOps(t *testing.T) {
 	}
 }
 
+// TestDeltaFailedStructuralApplyLeavesGraphUntouched: a delta that
+// adds a node and an edge and then fails on a later op must leave the
+// graph exactly as before — no dormant node or edge — so the same
+// delta, with its bad op removed, applies afterwards.
+func TestDeltaFailedStructuralApplyLeavesGraphUntouched(t *testing.T) {
+	g := New()
+	ids := g.AddNodes("n", 3)
+	a := ids[0]
+	before, beforeFP := graphState(g), fingerprintForTest(g)
+	d := Delta{AddNodeOp("x"), AddEdgeOp(a, 2, 1), DisableEdgeOp(99)}
+	if _, err := d.Apply(g); err == nil {
+		t.Fatal("Apply of a delta with an out-of-range edge succeeded")
+	}
+	if g.NumNodes() != 3 || g.NumEdges() != 0 || fingerprintForTest(g) != beforeFP || graphState(g) != before {
+		t.Fatalf("failed delta left %d nodes and %d edges (want 3 and 0), fingerprint changed: %v",
+			g.NumNodes(), g.NumEdges(), fingerprintForTest(g) != beforeFP)
+	}
+	if _, err := d[:2].Apply(g); err != nil {
+		t.Fatalf("retry without the bad op: %v", err)
+	}
+	if x, ok := g.NodeByName("x"); !ok || g.NumNodes() != 4 || g.NumEdges() != 1 || !g.Active(x) || !g.EdgeActive(0) {
+		t.Fatalf("retry applied to %d nodes and %d edges, want 4 and 1", g.NumNodes(), g.NumEdges())
+	}
+}
+
 func TestDeltaValidateDoesNotMutate(t *testing.T) {
 	g, _ := deltaTestGraph(t)
 	before := graphState(g)

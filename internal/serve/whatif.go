@@ -102,8 +102,12 @@ type WhatifStats struct {
 	Scenarios int64 `json:"scenarios"`
 	// FastPathScenarios counts scenarios answered through the tree
 	// fast path (e.g. link failures whose disable mask leaves a tree).
-	FastPathScenarios int64             `json:"fast_path_scenarios"`
-	Solver            steady.SolveStats `json:"solver"`
+	FastPathScenarios int64 `json:"fast_path_scenarios"`
+	// DominatedScenarios counts scenarios answered from the baseline
+	// optimum without a solve (the failure of a link or relay that
+	// carries no load in it; see whatif.Eval).
+	DominatedScenarios int64             `json:"dominated_scenarios"`
+	Solver             steady.SolveStats `json:"solver"`
 }
 
 // summaryRankCap bounds the summary's criticality rankings: the
@@ -237,8 +241,8 @@ func whatifSummaryLine(g *graph.Graph, rep *whatif.Report) WhatifLine {
 }
 
 // handleWhatif is POST /v1/whatif: baseline on the routed shard, then
-// the scenario family fanned out over the shard lanes on evaluator
-// clones, streamed as NDJSON in the deterministic enumeration order
+// the scenario family fanned out over the shard lanes (whatif.Stream),
+// streamed as NDJSON in the deterministic enumeration order
 // (results are emitted as soon as they and all their predecessors are
 // done), with a final summary line.
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
@@ -329,6 +333,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	s.whatif.Requests++
 	s.whatif.Scenarios += int64(len(scenarios))
 	s.whatif.FastPathScenarios += int64(fastScen)
+	s.whatif.DominatedScenarios += int64(rep.DominatedScenarios)
 	s.whatif.Solver.Add(scenStats)
 	s.mu.Unlock()
 }

@@ -292,3 +292,34 @@ func TestWhatifTreeFastPathStats(t *testing.T) {
 		t.Error("shard solver stats show no fast-path hits after a tree plan")
 	}
 }
+
+// TestWhatifDominatedStats: on the tree platform with targets c and d,
+// the relay b and its link S>b carry no load, so failing either is
+// answered from the baseline. /v1/stats counts both under
+// whatif.dominated_scenarios, while the NDJSON lines keep their schema
+// and report a zero delta for them.
+func TestWhatifDominatedStats(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 2})
+	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "tr", Platform: treeText, Source: "S"})
+	w := doJSON(t, s, http.MethodPost, "/v1/whatif", WhatifRequest{PlanSpec: PlanSpec{PlatformID: "tr", Targets: []string{"c", "d"}}, Sources: []string{}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("whatif: %d %s", w.Code, w.Body.String())
+	}
+	if strings.Contains(w.Body.String(), "dominated") {
+		t.Errorf("the NDJSON body names the dominated count:\n%s", w.Body.String())
+	}
+	for _, raw := range strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n") {
+		var line WhatifLine
+		if err := json.Unmarshal([]byte(raw), &line); err != nil {
+			t.Fatal(err)
+		}
+		idle := line.Node == "b" || (line.Edge != nil && line.Edge.To == "b")
+		if idle && (line.Delta != 0 || line.Infeasible) {
+			t.Errorf("failing the idle relay or its link changed the throughput: %s", raw)
+		}
+	}
+	st := decodeJSON[StatsResponse](t, doJSON(t, s, http.MethodGet, "/v1/stats", nil))
+	if st.Whatif.DominatedScenarios != 2 {
+		t.Errorf("stats whatif dominated_scenarios = %d, want 2", st.Whatif.DominatedScenarios)
+	}
+}

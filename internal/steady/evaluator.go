@@ -3,6 +3,7 @@ package steady
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -198,49 +199,53 @@ func (e *Evaluator) Reset() {
 	e.classifier.Invalidate()
 }
 
-// Clone returns a snapshot of the evaluator's logical state — the
-// result cache, the pooled cuts and the pooled path columns — with its
-// own fresh LP workspace and zeroed statistics. A clone shares no
-// mutable state with its parent: solving on one never changes what the
-// other computes or reports. The what-if engine takes one clone per
-// perturbation scenario, so concurrent scenario fan-out inherits the
-// baseline's warm-start state without fighting over one cut pool.
-// (Clones only read the parent, so many may be taken concurrently from
-// one quiescent parent; each clone itself remains single-goroutine.)
-func (e *Evaluator) Clone() *Evaluator {
-	c := NewEvaluator()
-	for k, b := range e.cache {
-		c.cache[k] = cloneBound(b)
+// ResetTo replaces the evaluator's logical state with a deep copy of
+// src's — the result cache, the pooled cuts, the pooled path columns
+// and the fast-path switch — while retaining its own LP workspace (and
+// its allocated scratch memory) and its cumulative statistics. After
+// ResetTo(src) the evaluator computes exactly what src.Clone() would,
+// and shares no mutable state with src. The what-if engine keeps one
+// evaluator per worker and restores it to the baseline snapshot before
+// every scenario, so the solver scratch is allocated once per worker
+// rather than once per scenario. ResetTo only reads src, so many
+// evaluators may be reset concurrently from one quiescent src.
+func (e *Evaluator) ResetTo(src *Evaluator) {
+	e.Reset()
+	for k, b := range src.cache {
+		e.cache[k] = cloneBound(b)
 	}
-	for src, pool := range e.cutPools {
+	for s, pool := range src.cutPools {
 		cp := make([]seedCut, len(pool))
-		for i, s := range pool {
-			cp[i] = seedCut{target: s.target, edges: append([]int(nil), s.edges...)}
+		for i, c := range pool {
+			cp[i] = seedCut{target: c.target, edges: append([]int(nil), c.edges...)}
 		}
-		c.cutPools[src] = cp
+		e.cutPools[s] = cp
 	}
-	for src, seen := range e.cutSeen {
-		cs := make(map[string]bool, len(seen))
-		for k := range seen {
-			cs[k] = true
-		}
-		c.cutSeen[src] = cs
+	for s, seen := range src.cutSeen {
+		e.cutSeen[s] = maps.Clone(seen)
 	}
-	for src, pool := range e.paths {
+	for s, pool := range src.paths {
 		pp := make([]pooledPath, len(pool))
 		for i, p := range pool {
 			pp[i] = pooledPath{origin: p.origin, dest: p.dest, edges: append([]int(nil), p.edges...)}
 		}
-		c.paths[src] = pp
+		e.paths[s] = pp
 	}
-	for src, seen := range e.pathSeen {
-		ps := make(map[string]bool, len(seen))
-		for k := range seen {
-			ps[k] = true
-		}
-		c.pathSeen[src] = ps
+	for s, seen := range src.pathSeen {
+		e.pathSeen[s] = maps.Clone(seen)
 	}
-	c.noFastPath = e.noFastPath
+	e.noFastPath = src.noFastPath
+}
+
+// Clone returns a snapshot of the evaluator's logical state (see
+// ResetTo) on its own fresh LP workspace, with zeroed statistics. A
+// clone shares no mutable state with its parent: solving on one never
+// changes what the other computes or reports. (Clones only read the
+// parent, so many may be taken concurrently from one quiescent parent;
+// each clone itself remains single-goroutine.)
+func (e *Evaluator) Clone() *Evaluator {
+	c := NewEvaluator()
+	c.ResetTo(e)
 	return c
 }
 

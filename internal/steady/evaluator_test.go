@@ -451,6 +451,65 @@ func TestEvaluatorCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestEvaluatorResetToMatchesParent pins the ResetTo contract the
+// what-if workers rely on: an evaluator that has done unrelated work,
+// restored with ResetTo(parent), computes bit for bit what the parent
+// itself computes next, with the same solver effort, and keeps its own
+// cumulative statistics. The dense-target platform runs the cutting
+// plane, so the copied cut pool seeds the evaluation.
+func TestEvaluatorResetToMatchesParent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generated-platform LP solve is slow")
+	}
+	pl, err := tiers.Generate(tiers.Big(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := NewEvaluator()
+	if _, err := parent.BroadcastEB(pl.G, pl.Source); err != nil {
+		t.Fatal(err)
+	}
+	if parent.Stats().Cuts == 0 {
+		t.Fatal("the baseline pooled no cuts")
+	}
+	worker := NewEvaluator()
+	rng := rand.New(rand.NewSource(5))
+	for done := 0; done < 2; {
+		if p, ok := randomProblem(rng); ok {
+			if _, err := worker.MulticastLB(p); err != nil {
+				t.Fatal(err)
+			}
+			done++
+		}
+	}
+	cumulative := worker.Stats()
+	worker.ResetTo(parent)
+	if got := worker.Stats(); got != cumulative {
+		t.Errorf("ResetTo changed the cumulative stats: %+v, want %+v", got, cumulative)
+	}
+	workerBefore, parentBefore := worker.Stats(), parent.Stats()
+	got, err := worker.DropNodeBroadcast(pl.G, pl.Source, pl.LAN[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := parent.DropNodeBroadcast(pl.G, pl.Source, pl.LAN[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Period) != math.Float64bits(want.Period) || len(got.EdgeLoad) != len(want.EdgeLoad) {
+		t.Fatalf("restored evaluator period %v, parent %v", got.Period, want.Period)
+	}
+	for i := range got.EdgeLoad {
+		if math.Float64bits(got.EdgeLoad[i]) != math.Float64bits(want.EdgeLoad[i]) {
+			t.Fatalf("EdgeLoad[%d]: restored evaluator %v, parent %v", i, got.EdgeLoad[i], want.EdgeLoad[i])
+		}
+	}
+	w, p := worker.Stats().Delta(workerBefore), parent.Stats().Delta(parentBefore)
+	if w != p || w.Solves == 0 {
+		t.Errorf("restored evaluator effort %+v, parent %+v", w, p)
+	}
+}
+
 // TestFingerprintEdgeMask: disabling an edge changes the fingerprint,
 // and re-enabling it restores the original value bit-for-bit.
 func TestFingerprintEdgeMask(t *testing.T) {

@@ -60,10 +60,11 @@ type ReplanResult struct {
 // or a target, and reports the event's incremental solver effort. An
 // empty delta re-evaluates the current graph.
 //
-// On any error (an invalid delta, or one that invalidates the
-// problem) the delta is rolled back through its undo, which restores
-// state ops exactly; nodes and edges added by structural ops stay in
-// the graph, deactivated or disabled (see graph.Delta).
+// On an invalid delta p.G is exactly as before the call (graph.Delta
+// applies atomically). A valid delta that invalidates the problem, or
+// whose solve fails, is rolled back through its undo: p.G is then
+// exactly as before too, unless the delta added nodes or edges, which
+// stay in the graph deactivated or disabled (see graph.Delta).
 func (e *Evaluator) Replan(p Problem, delta graph.Delta) (*ReplanResult, error) {
 	undo, err := delta.Apply(p.G)
 	if err != nil {

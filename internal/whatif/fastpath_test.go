@@ -117,8 +117,11 @@ func TestWhatifFastPathByteIdentical(t *testing.T) {
 }
 
 // TestWhatifPureTreeAllFastPath pins the all-tree extreme: on a pure
-// tree platform every node- and edge-failure scenario evaluates
-// combinatorially and the scenario stats record zero LP solves.
+// tree platform no node- or edge-failure scenario reaches the LP. The
+// 7 node failures (all targets) and the 7 parent-to-child arc failures
+// evaluate combinatorially; the 7 child-to-parent arcs carry no load in
+// the baseline, so their failures are answered from it without any
+// evaluation.
 func TestWhatifPureTreeAllFastPath(t *testing.T) {
 	g := graph.New()
 	ids := g.AddNodes("n", 8)
@@ -143,13 +146,30 @@ func TestWhatifPureTreeAllFastPath(t *testing.T) {
 			t.Fatalf("scenario %d: %v", i, r.Err)
 		}
 	}
-	if fast != len(scenarios) {
-		t.Errorf("fast-path scenarios = %d, want all %d", fast, len(scenarios))
+	const fastWant, dominatedWant = 14, 7
+	if len(scenarios) != fastWant+dominatedWant {
+		t.Fatalf("enumerated %d scenarios, want %d", len(scenarios), fastWant+dominatedWant)
+	}
+	if fast != fastWant {
+		t.Errorf("fast-path scenarios = %d, want %d", fast, fastWant)
+	}
+	if rep := BuildReport(base, scenarios, results); rep.DominatedScenarios != dominatedWant {
+		t.Errorf("dominated scenarios = %d, want %d", rep.DominatedScenarios, dominatedWant)
+	}
+	for _, r := range results {
+		up := false // a child-to-parent arc
+		if r.Kind == KindEdgeFailure {
+			e := g.Edge(r.Edge)
+			up = e.From != ids[0] && e.To == ids[parents[int(e.From)-1]]
+		}
+		if r.Dominated != up {
+			t.Errorf("scenario %+v: dominated = %v, want it for exactly the child-to-parent arcs", r.Scenario, r.Dominated)
+		}
 	}
 	if stats.Solves != 0 {
 		t.Errorf("scenario fan-out ran %d LP solves on a pure tree, want 0", stats.Solves)
 	}
-	if stats.FastPathHits < len(scenarios) {
-		t.Errorf("fast-path hits = %d < scenarios = %d", stats.FastPathHits, len(scenarios))
+	if stats.FastPathHits < fastWant {
+		t.Errorf("fast-path hits = %d < fast-path scenarios = %d", stats.FastPathHits, fastWant)
 	}
 }

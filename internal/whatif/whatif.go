@@ -7,17 +7,20 @@
 // Real heterogeneous platforms degrade: nodes fail, links slow down,
 // sources move. The paper's bounds answer "how fast can this platform
 // multicast", and this package answers "how much of that survives when
-// X breaks" without replanning cold: every scenario runs on a
-// steady.Evaluator clone seeded from the baseline solve, so the
+// X breaks" without replanning cold. A scenario that cannot move the
+// baseline Multicast-LB optimum — the failure or slow-down of a link,
+// or the failure of a relay, that carries no load in it — is answered
+// from the baseline itself, without a solve. Every other scenario runs
+// on a steady.Evaluator restored to the baseline snapshot, so the
 // baseline's pooled Multicast-LB cuts and multisource path columns
 // warm-start each perturbed LP (DESIGN.md Section 10).
 //
 // Determinism contract: scenario enumeration is a pure function of the
-// platform and the config, and every scenario is evaluated on a fresh
-// clone of the same baseline evaluator over a private graph copy, so
-// Analyze returns bit-identical reports for any worker count — the
-// same contract the serving layer's /v1/whatif endpoint streams over
-// HTTP.
+// platform and the config, and every scenario is either answered from
+// the baseline or evaluated on an evaluator restored to the same
+// baseline snapshot over a private graph copy, so Analyze returns
+// bit-identical reports for any worker count — the same contract the
+// serving layer's /v1/whatif endpoint streams over HTTP.
 package whatif
 
 import (
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -105,10 +109,11 @@ type Config struct {
 	// AllSources promotes every active non-source node instead of the
 	// explicit PromoteSources list.
 	AllSources bool
-	// Cold evaluates every scenario on a fresh evaluator instead of a
-	// baseline clone — the replan-from-scratch reference that
-	// BenchmarkWhatifWarm is measured against. Results are identical up
-	// to LP degeneracy; only the solver effort changes.
+	// Cold solves every scenario that the baseline does not answer (see
+	// Eval) on an emptied evaluator (steady.Evaluator.Reset) instead of
+	// one restored to the baseline snapshot — the replan-from-scratch
+	// reference that BenchmarkWhatifWarm is measured against. Results are
+	// identical up to LP degeneracy; only the solver effort changes.
 	Cold bool
 }
 
@@ -121,13 +126,15 @@ func DefaultConfig() Config {
 
 // Baseline is the unperturbed reference every scenario is compared
 // against. It owns a private evaluator snapshot taken after the
-// baseline solves, so clones of Ev inherit the pooled cuts and path
-// columns whatever happens to the evaluator the baseline was computed
-// on (serving shards Reset theirs between requests).
+// baseline solves, so the scenario evaluators restored to Ev inherit
+// the pooled cuts and path columns whatever happens to the evaluator
+// the baseline was computed on (serving shards Reset theirs between
+// requests).
 type Baseline struct {
 	Problem steady.Problem
 	// LB is the Multicast-LB bound, the throughput reference of node
-	// and edge scenarios.
+	// and edge scenarios; its EdgeLoad decides which of them cannot move
+	// the optimum (see Eval).
 	LB *steady.Bound
 	// MultiSource is MulticastMultiSource-UB with no promoted sources,
 	// the reference of promotion scenarios.
@@ -138,7 +145,8 @@ type Baseline struct {
 	Tree *tree.Tree
 	// TreePeriod is Tree's one-port period (0 when Tree is nil).
 	TreePeriod float64
-	// Ev is the evaluator snapshot scenario clones are taken from.
+	// Ev is the evaluator snapshot every warm scenario evaluator is
+	// restored to (steady.Evaluator.ResetTo).
 	Ev *steady.Evaluator
 }
 
@@ -233,15 +241,80 @@ type Result struct {
 	// one-port period when it survives.
 	TreeSurvives bool
 	TreePeriod   float64
+	// Dominated marks a scenario answered from the baseline optimum
+	// without a solve, because it cannot move it (see Eval).
+	Dominated bool
 }
 
-// Eval evaluates one scenario. ev must be private to the call (a
-// Baseline.Ev clone, or a fresh evaluator for cold replans) and g a
-// private copy of the baseline platform, which Eval perturbs via the
-// scenario's graph delta and restores via the delta's exact-bits undo.
-// The result depends only on (base, scenario) — never on which worker
-// ran it or what ran before it on g.
+// Eval evaluates one scenario on g, a private copy of the baseline
+// platform, which Eval perturbs via the scenario's graph delta and
+// restores via the delta's exact-bits undo.
+//
+// A scenario that cannot move the baseline Multicast-LB optimum is
+// dominated: Eval answers it from base.LB (Period and Throughput of the
+// baseline, Delta exactly 0) without solving, perturbing g or touching
+// ev. Multicast-LB minimises the period over a polytope, and failing an
+// edge, slowing it down (Factor > 1) or failing a non-target node only
+// fixes loads at zero or scales the coefficients of their terms. When
+// every load involved is exactly zero in the baseline optimum, that
+// point stays feasible in the perturbed polytope, which lies inside the
+// baseline's, so the optimum cannot move. The check uses exact zeros (a tolerance
+// would answer scenarios whose optimum can move) and never applies to
+// an infeasible baseline; target failures, speed-ups (Factor < 1) and
+// promotions always solve.
+//
+// Any other scenario is solved on ev, which must be private to the
+// call and hold the baseline snapshot (base.Ev.Clone(), or an evaluator
+// restored with ResetTo(base.Ev)) — or be empty, for cold replans. The
+// result depends only on (base, scenario) — never on which worker ran
+// it or what ran before it on g or ev.
 func Eval(base *Baseline, ev *steady.Evaluator, g *graph.Graph, sc Scenario) Result {
+	if dominated(base, g, sc) {
+		return fromBaseline(base, g, sc)
+	}
+	return solve(base, ev, g, sc)
+}
+
+// dominated reports whether sc cannot move the baseline Multicast-LB
+// optimum (see Eval).
+func dominated(base *Baseline, g *graph.Graph, sc Scenario) bool {
+	if base.LB.Infeasible() {
+		return false
+	}
+	load := base.LB.EdgeLoad
+	idle := func(id int) bool { return id >= 0 && id < len(load) && load[id] == 0 }
+	switch sc.Kind {
+	case KindEdgeFailure:
+		return idle(sc.Edge)
+	case KindEdgeDegrade:
+		// A factor that overflows the cost is an invalid delta, which
+		// solve reports as such.
+		return sc.Factor > 1 && idle(sc.Edge) && !math.IsInf(g.Edge(sc.Edge).Cost*sc.Factor, 1)
+	case KindNodeFailure:
+		v := sc.Node
+		if v < 0 || int(v) >= g.NumNodes() || v == base.Problem.Source || slices.Contains(base.Problem.Targets, v) {
+			return false
+		}
+		for _, id := range g.OutEdges(v, g.InEdges(v, nil)) {
+			if !idle(id) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// fromBaseline answers a dominated scenario from the baseline optimum.
+func fromBaseline(base *Baseline, g *graph.Graph, sc Scenario) Result {
+	res := Result{Scenario: sc, Dominated: true}
+	noteBound(&res, base.LB, base.LB.Throughput())
+	noteTree(base, g, &res)
+	return res
+}
+
+// solve evaluates a scenario that is not dominated on ev.
+func solve(base *Baseline, ev *steady.Evaluator, g *graph.Graph, sc Scenario) Result {
 	res := Result{Scenario: sc}
 	p := steady.Problem{G: g, Source: base.Problem.Source, Targets: base.Problem.Targets}
 	switch sc.Kind {
@@ -255,7 +328,12 @@ func Eval(base *Baseline, ev *steady.Evaluator, g *graph.Graph, sc Scenario) Res
 		}
 		bound, err := ev.MulticastLB(p)
 		undo.Apply(g)
-		finishEdge(base, g, sc, bound, err, &res)
+		if err != nil {
+			res.Err = err
+			return res
+		}
+		noteBound(&res, bound, base.LB.Throughput())
+		noteTree(base, g, &res)
 	case KindPromoteSource:
 		bound, err := ev.PromoteSource(p, nil, sc.Node)
 		if err != nil {
@@ -263,8 +341,7 @@ func Eval(base *Baseline, ev *steady.Evaluator, g *graph.Graph, sc Scenario) Res
 			return res
 		}
 		noteBound(&res, bound, base.MultiSource.Throughput())
-		res.TreeSurvives = base.Tree != nil
-		res.TreePeriod = base.TreePeriod
+		noteTree(base, g, &res)
 	default:
 		res.Err = fmt.Errorf("whatif: unknown scenario kind %q", sc.Kind)
 	}
@@ -302,44 +379,35 @@ func evalNodeFailure(base *Baseline, ev *steady.Evaluator, g *graph.Graph, sc Sc
 		return
 	}
 	noteBound(res, bound, base.LB.Throughput())
-	if base.Tree != nil && !base.Tree.Nodes(g)[sc.Node] {
-		res.TreeSurvives = true
-		res.TreePeriod = base.TreePeriod
-	}
+	noteTree(base, g, res)
 }
 
-// finishEdge fills an edge scenario's result from its bound: the tree
-// survives an edge failure iff it does not use the edge, and always
-// survives a degradation (with a recomputed period).
-func finishEdge(base *Baseline, g *graph.Graph, sc Scenario, bound *steady.Bound, err error, res *Result) {
-	if err != nil {
-		res.Err = err
+// noteTree records whether the baseline MCPH tree survives the scenario
+// and its one-port period if so: a node or link failure kills the tree
+// iff the tree uses the failed element, a degradation recomputes the
+// period if the tree uses the edge, and a promotion leaves the tree as
+// it is. g must hold the baseline costs.
+func noteTree(base *Baseline, g *graph.Graph, res *Result) {
+	t := base.Tree
+	if t == nil {
 		return
 	}
-	noteBound(res, bound, base.LB.Throughput())
-	if base.Tree == nil {
-		return
-	}
-	uses := false
-	for _, id := range base.Tree.Edges {
-		if id == sc.Edge {
-			uses = true
-			break
-		}
-	}
-	switch sc.Kind {
+	res.TreePeriod = base.TreePeriod
+	switch res.Kind {
+	case KindNodeFailure:
+		res.TreeSurvives = !t.Nodes(g)[res.Node]
 	case KindEdgeFailure:
-		if !uses {
-			res.TreeSurvives = true
-			res.TreePeriod = base.TreePeriod
-		}
+		res.TreeSurvives = !slices.Contains(t.Edges, res.Edge)
 	case KindEdgeDegrade:
 		res.TreeSurvives = true
-		if uses {
-			res.TreePeriod = scaledTreePeriod(g, base.Tree, sc.Edge, sc.Factor)
-		} else {
-			res.TreePeriod = base.TreePeriod
+		if slices.Contains(t.Edges, res.Edge) {
+			res.TreePeriod = scaledTreePeriod(g, t, res.Edge, res.Factor)
 		}
+	case KindPromoteSource:
+		res.TreeSurvives = true
+	}
+	if !res.TreeSurvives {
+		res.TreePeriod = 0
 	}
 }
 
@@ -402,7 +470,10 @@ type Report struct {
 	CriticalEdges []Ranked
 	// Surviving counts the scenarios the baseline MCPH tree survives.
 	Surviving int
-	// FastPathScenarios counts the scenarios whose evaluator clone
+	// DominatedScenarios counts the scenarios answered from the baseline
+	// optimum without a solve (Result.Dominated).
+	DominatedScenarios int
+	// FastPathScenarios counts the scenarios whose evaluator
 	// answered at least one bound through the tree-topology fast path —
 	// e.g. a link failure whose disable mask turns the platform into a
 	// tree. The results themselves are byte-identical either way
@@ -418,7 +489,7 @@ type Report struct {
 }
 
 // Analyze runs the full what-if analysis: baseline, concurrent
-// scenario fan-out on evaluator clones, and the criticality rankings.
+// scenario fan-out (Stream), and the criticality rankings.
 // The report is deterministic for any Config.Workers.
 func Analyze(p steady.Problem, cfg Config) (*Report, error) {
 	for _, f := range cfg.EdgeFactors {
@@ -451,10 +522,14 @@ func Run(base *Baseline, scenarios []Scenario, cfg Config) ([]Result, steady.Sol
 }
 
 // Stream is the scenario loop behind Run, Analyze and the serving
-// layer's /v1/whatif endpoint. Each scenario gets a fresh clone of
-// base.Ev (or a fresh evaluator when cfg.Cold) and each worker a
-// private platform copy, so the results are independent of scheduling.
-// It returns what Run returns.
+// layer's /v1/whatif endpoint. Dominated scenarios are answered from
+// the baseline (see Eval). Each worker holds a private platform copy
+// and one evaluator, which it restores to base.Ev (ResetTo; Reset when
+// cfg.Cold) before every scenario it solves, so each result is what a
+// fresh clone would compute and independent of scheduling, while the
+// LP workspace is allocated once per worker. It returns what Run
+// returns; the solver statistics are each solved scenario's
+// Stats().Delta, summed.
 //
 // lane, when non-nil, wraps each worker's whole loop and must call loop
 // exactly once: the serving layer runs worker w under a shard lane's
@@ -483,19 +558,25 @@ func Stream(ctx context.Context, base *Baseline, scenarios []Scenario, cfg Confi
 	fanout.Ordered(len(scenarios), cfg.Workers, func(w int, claim iter.Seq[int]) {
 		lane(w, func() {
 			g := base.Problem.G.Clone()
+			ev := steady.NewEvaluator()
+			ev.SetStop(&stop)
 			for i := range claim {
+				sc := scenarios[i]
 				if err := ctx.Err(); err != nil {
-					results[i] = Result{Scenario: scenarios[i], Err: err}
+					results[i] = Result{Scenario: sc, Err: err}
 					continue
 				}
-				var sev *steady.Evaluator
-				if cfg.Cold {
-					sev = steady.NewEvaluator()
-				} else {
-					sev = base.Ev.Clone()
+				if dominated(base, g, sc) {
+					results[i] = fromBaseline(base, g, sc)
+					continue
 				}
-				sev.SetStop(&stop)
-				res := Eval(base, sev, g, scenarios[i])
+				if cfg.Cold {
+					ev.Reset()
+				} else {
+					ev.ResetTo(base.Ev)
+				}
+				before := ev.Stats()
+				res := solve(base, ev, g, sc)
 				if errors.Is(res.Err, lp.ErrCanceled) && ctx.Err() != nil {
 					// The stop flag fired because ctx ended: report ctx's
 					// reason, like the scenarios drained after this one,
@@ -503,12 +584,10 @@ func Stream(ctx context.Context, base *Baseline, scenarios []Scenario, cfg Confi
 					res.Err = ctx.Err()
 				}
 				results[i] = res
-				effort[i] = sev.Stats()
+				effort[i] = ev.Stats().Delta(before)
 			}
 		})
 	}, func(i int) {
-		// The evaluator is scenario-private, so its counters attribute
-		// exactly one evaluation.
 		stats.Add(effort[i])
 		if effort[i].FastPathHits > 0 {
 			fast++
@@ -532,6 +611,9 @@ func BuildReport(base *Baseline, scenarios []Scenario, results []Result) *Report
 		}
 		if r.TreeSurvives {
 			rep.Surviving++
+		}
+		if r.Dominated {
+			rep.DominatedScenarios++
 		}
 		switch r.Kind {
 		case KindNodeFailure:
