@@ -706,8 +706,8 @@ func benchWhatif(b *testing.B, cold bool) {
 // every evaluation reclassifies and rescans rather than hitting the
 // result cache. The ...LB twins push the identical problem through the
 // Multicast-LB LP on a fresh fast-path-disabled evaluator per
-// iteration — at 30 nodes that is the direct per-target formulation,
-// at 65 the warm cut-covering master. The acceptance criterion is
+// iteration — a broadcast, so the warm cut-covering master at both
+// sizes. The acceptance criterion is
 // ns/op: the fast path must beat the LP by >= 10x while agreeing on
 // the throughput (checked here before the timer starts; the tests and
 // FuzzTreeVsLP pin the <= 1e-9 contract).

@@ -481,7 +481,9 @@ func (e *Evaluator) PromoteSource(p Problem, extras []graph.NodeID, cand graph.N
 // separated target must be in p's target set, and the cut's still-
 // active edges must still disconnect it from the source (always true
 // for subgraphs of the platform the cut came from; re-verified by BFS
-// so supergraphs are safe too).
+// so supergraphs are safe too). The pools are keyed by source ID only,
+// so a cut may come from another platform: it is kept only if its
+// target and every edge exist in p.G, and the BFS then decides.
 func (e *Evaluator) validCuts(p Problem) []seedCut {
 	pool := e.cutPools[p.Source]
 	if len(pool) == 0 {
@@ -504,7 +506,8 @@ func (e *Evaluator) validCuts(p Problem) []seedCut {
 	}
 	blocked := sc.blocked[:p.G.NumEdges()]
 	for _, s := range pool {
-		if !inTargets[s.target] || !p.G.Active(s.target) {
+		if int(s.target) >= len(inTargets) || !inTargets[s.target] || !p.G.Active(s.target) ||
+			!edgesExist(p.G, s.edges) {
 			continue
 		}
 		active := make([]int, 0, len(s.edges))
@@ -521,6 +524,35 @@ func (e *Evaluator) validCuts(p Problem) []seedCut {
 		}
 	}
 	return out
+}
+
+// edgesExist reports whether every edge ID is in range for g.
+func edgesExist(g *graph.Graph, edges []int) bool {
+	for _, id := range edges {
+		if id >= g.NumEdges() {
+			return false
+		}
+	}
+	return true
+}
+
+// isActivePath reports whether edges is an origin->dest path of g's
+// active edges: each edge exists, is active, and starts where the
+// previous one ends. A pooled path from another platform can fail any
+// of these; one from g's own lineage fails only on activity.
+func isActivePath(g *graph.Graph, origin, dest graph.NodeID, edges []int) bool {
+	at := origin
+	for _, id := range edges {
+		if id >= g.NumEdges() || !g.EdgeActive(id) {
+			return false
+		}
+		ed := g.Edge(id)
+		if ed.From != at {
+			return false
+		}
+		at = ed.To
+	}
+	return at == dest
 }
 
 // cutSeparates reports whether removing the cut edges disconnects

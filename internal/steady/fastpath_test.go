@@ -213,10 +213,14 @@ func TestTrialOpsTakeFastPath(t *testing.T) {
 		}
 
 		// The mask is restored on return, so the same evaluator now
-		// sees the chorded platform again and must fall back.
+		// sees the chorded platform again and must fall back. evFast
+		// pooled no cuts (its trial took the fast path) while evLP
+		// pooled its trial's cuts, and a seeded cut loop may end on
+		// another optimal vertex; a fresh LP evaluator has evFast's
+		// empty history, so the two run the same LP bit for bit.
 		before = evFast.Stats()
 		fast, err1 = evFast.MulticastLB(p)
-		ref, err2 = evLP.MulticastLB(p)
+		ref, err2 = lpEvaluator().MulticastLB(p)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 		}

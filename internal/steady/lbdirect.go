@@ -12,11 +12,13 @@ import (
 // per-target formulation (normalised to throughput form): one flow
 // x^i per target of value rho under shared optimistic loads
 // n(e) >= x^i(e). Polynomial-size but with |targets| * |edges|
-// variables, so multicastLB uses it for sparse target sets, where the
-// cut-covering master is known to wander; for dense target sets the
-// cutting plane is far smaller and converges quickly. Like the cut
-// master it expects a reachable target set and the active edges in
-// e.sc.edges.
+// variables, so multicastLB uses it only for target sets that are not
+// broadcast-shaped and stay under its row cap, where the cut-covering
+// master is known to wander; broadcast-shaped programs run the cut
+// master at every size, which is far smaller and converges quickly
+// when every node is a target. The cut master also falls back to this
+// form at its round cap. Like the cut master it expects a reachable
+// target set and the active edges in e.sc.edges.
 //
 // Variable indices are arithmetic — rho, then the n block in
 // active-edge order, then one x block per target — so no per-target

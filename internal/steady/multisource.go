@@ -97,10 +97,11 @@ func (e *Evaluator) multiSourceUB(p Problem, extras []graph.NodeID) (*Bound, err
 		return true
 	}
 	// Seed columns: pooled paths whose origin may still feed their
-	// destination under the current promotion order (and whose edges
-	// are all still active), then a cheapest path from the primary
-	// source to each destination (origin 0 is allowed for every
-	// destination).
+	// destination under the current promotion order (and that are still
+	// active origin->destination paths of g; the pools are keyed by
+	// source ID only, so a path may come from another platform), then a
+	// cheapest path from the primary source to each destination (origin
+	// 0 is allowed for every destination).
 	for _, s := range e.paths[p.Source] {
 		di, ok := destIndex[s.dest]
 		if !ok {
@@ -110,14 +111,7 @@ func (e *Evaluator) multiSourceUB(p Problem, extras []graph.NodeID) (*Bound, err
 		if !ok || oi >= dests[di].maxOrigin {
 			continue
 		}
-		usable := true
-		for _, id := range s.edges {
-			if !g.EdgeActive(id) {
-				usable = false
-				break
-			}
-		}
-		if usable {
+		if isActivePath(g, s.origin, s.dest, s.edges) {
 			addPath(di, s.edges, s.origin)
 		}
 	}

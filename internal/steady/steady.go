@@ -268,24 +268,32 @@ func (e *Evaluator) scatterUB(p Problem) (*Bound, error) {
 // (n(e) = max_i x^i(e)). Its period is a lower bound on the optimal
 // multicast period, not achievable in general (Figure 4).
 //
-// Two equivalent formulations are used depending on the target count.
-// Sparse target sets use the paper's direct per-target formulation
-// (polynomial but |targets|*|edges| variables); dense sets use the
-// cut-covering master with min-cut separation, which is tiny and
-// converges quickly when most nodes are targets but wanders through
-// near-duplicate cuts when they are sparse. Both were cross-validated
-// to produce identical values. Both expect a reachable target set and
-// the active edges in e.sc.edges, which this dispatch establishes.
+// Two equivalent formulations are routed by the shape of the target
+// set (DESIGN.md Section 4.2). A broadcast-shaped program — every
+// active node but the source is a target, the shape BroadcastEB builds
+// for each REDUCED BROADCAST and AUGMENTED MULTICAST trial — runs the
+// cut-covering master with min-cut separation at every size: it is
+// tiny, starts from the evaluator's pooled cuts, and converges in a
+// few rounds when every node is a target. Any other target set runs
+// the paper's direct per-target formulation (|targets|*|edges|
+// variables) while its estimated row count stays within 4600, since
+// the cut master wanders through near-duplicate cuts when targets are
+// sparse, and the cut master above that. Both agree to 1e-9 on the
+// heuristics' trial shapes (TestLBFormulationsAgree). Both expect a
+// reachable target set and the active edges in e.sc.edges, which this
+// dispatch establishes.
 func (e *Evaluator) multicastLB(p Problem) (*Bound, error) {
 	g := p.G
 	if !g.ReachesAll(p.Source, p.Targets) {
 		return infeasibleBound(), nil
 	}
 	e.sc.edges = g.AppendActiveEdges(e.sc.edges[:0])
-	// Estimated direct-formulation row count; below the cap the direct
-	// LP is cheap and immune to cut thrashing.
+	// Targets are distinct active non-source nodes, so fewer than
+	// nodes-1 of them is exactly "not broadcast-shaped". Below the
+	// estimated direct-formulation row cap such a program takes the
+	// direct LP, which is cheap and immune to cut thrashing.
 	nodes := g.NumActive()
-	if len(p.Targets)*(nodes+len(e.sc.edges))+2*nodes <= 4600 {
+	if len(p.Targets) < nodes-1 && len(p.Targets)*(nodes+len(e.sc.edges))+2*nodes <= 4600 {
 		return e.multicastLBDirect(p)
 	}
 	return e.multicastLBCuts(p)
@@ -299,12 +307,12 @@ type seedCut struct {
 }
 
 // multicastLBCuts solves Multicast-LB by cut-covering with min-cut
-// separation (the dense-target regime of multicastLB). The master LP is
-// built once and then only grows: every separation round appends its
-// violated cut rows to the same model and re-solves from the previous
-// round's basis, the appended rows repaired by dual-simplex pivots.
-// The master is primed with the evaluator's pooled cuts that are still
-// valid for p, and every new cut joins the pool.
+// separation (the broadcast-shaped and large regimes of multicastLB).
+// The master LP is built once and then only grows: every separation
+// round appends its violated cut rows to the same model and re-solves
+// from the previous round's basis, the appended rows repaired by
+// dual-simplex pivots. The master is primed with the evaluator's pooled
+// cuts that are still valid for p, and every new cut joins the pool.
 func (e *Evaluator) multicastLBCuts(p Problem) (*Bound, error) {
 	g := p.G
 	// Normalise the edge costs for conditioning: with c <= 1 the

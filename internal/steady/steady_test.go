@@ -1,6 +1,7 @@
 package steady
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -491,6 +492,110 @@ func TestLBFormulationsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+
+	// The heuristics' own trial shapes, all broadcast-shaped: REDUCED
+	// BROADCAST's platforms with one node dropped and AUGMENTED
+	// MULTICAST's platforms restricted to the source and targets and
+	// grown by one node, on Tiers small and big.
+	for _, cfg := range []tiers.Config{tiers.Small(1), tiers.Big(1)} {
+		pl, err := tiers.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := pl.RandomTargets(rand.New(rand.NewSource(cfg.Seed)), 0.2)
+		isFixed := map[graph.NodeID]bool{pl.Source: true}
+		for _, v := range targets {
+			isFixed[v] = true
+		}
+		var cands []graph.NodeID
+		for _, v := range pl.G.ActiveNodes() {
+			if !isFixed[v] {
+				cands = append(cands, v)
+			}
+		}
+		agree := func(what string, g *graph.Graph) {
+			t.Helper()
+			var ts []graph.NodeID
+			for _, v := range g.ActiveNodes() {
+				if v != pl.Source {
+					ts = append(ts, v)
+				}
+			}
+			p, err := NewProblem(g, pl.Source, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := lpEvaluator()
+			direct, err := lbForm(ev, p, ev.multicastLBDirect)
+			if err != nil {
+				t.Fatalf("%s: direct: %v", what, err)
+			}
+			ev = lpEvaluator()
+			cuts, err := lbForm(ev, p, ev.multicastLBCuts)
+			if err != nil {
+				t.Fatalf("%s: cuts: %v", what, err)
+			}
+			if direct.Infeasible() != cuts.Infeasible() {
+				t.Fatalf("%s: direct infeasible=%v, cuts infeasible=%v", what, direct.Infeasible(), cuts.Infeasible())
+			}
+			if d := relDiff(direct.Period, cuts.Period); !direct.Infeasible() && d > 1e-9 {
+				t.Fatalf("%s: direct %.17g vs cuts %.17g (rel diff %.3g > 1e-9)", what, direct.Period, cuts.Period, d)
+			}
+		}
+		stride := 1 + len(cands)/8 // a sample; every candidate agrees too
+		g := pl.G.Clone()
+		for i := 0; i < len(cands); i += stride {
+			g.Deactivate(cands[i])
+			agree(fmt.Sprintf("Red. BC trial on %d-node Tiers, %s dropped", pl.G.NumNodes(), g.Name(cands[i])), g)
+			g.Activate(cands[i])
+		}
+		g.Restrict(append([]graph.NodeID{pl.Source}, targets...))
+		for i := 0; i < len(cands); i += stride {
+			g.Activate(cands[i])
+			agree(fmt.Sprintf("Augm. MC trial on %d-node Tiers, %s added", pl.G.NumNodes(), g.Name(cands[i])), g)
+			g.Deactivate(cands[i])
+		}
+	}
+}
+
+// TestMulticastLBRoute pins multicastLB's dispatch: a broadcast-shaped
+// program runs the cut master at every size, and a sparse multicast
+// under the direct form's row cap runs the direct form.
+func TestMulticastLBRoute(t *testing.T) {
+	pl, err := tiers.Generate(tiers.Small(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, ids := randomTree(rand.New(rand.NewSource(3)), 10, true)
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		source graph.NodeID
+	}{{"tiers.Small(1)", pl.G, pl.Source}, {"10-node tree", tree, ids[0]}} {
+		b, err := lpEvaluator().BroadcastEB(c.g, c.source)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if b.Cuts == 0 {
+			t.Errorf("%s: broadcast ran the direct form, want the cut master", c.name)
+		}
+	}
+	targets := pl.RandomTargets(rand.New(rand.NewSource(1)), 0.2)
+	p, err := NewProblem(pl.G, pl.Source, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, edges := pl.G.NumActive(), len(pl.G.ActiveEdges())
+	if rows := len(targets)*(nodes+edges) + 2*nodes; rows > 4600 {
+		t.Fatalf("%d targets: %d estimated direct rows, over the cap", len(targets), rows)
+	}
+	b, err := lpEvaluator().MulticastLB(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Cuts != 0 {
+		t.Errorf("sparse multicast of %d targets ran the cut master (%d cuts), want the direct form", len(targets), b.Cuts)
 	}
 }
 

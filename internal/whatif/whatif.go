@@ -476,7 +476,8 @@ type Report struct {
 	// FastPathScenarios counts the scenarios whose evaluator
 	// answered at least one bound through the tree-topology fast path —
 	// e.g. a link failure whose disable mask turns the platform into a
-	// tree. The results themselves are byte-identical either way
+	// tree. The results agree either way: every field exactly except
+	// the bound values (Period, Throughput, Delta), which agree to 1e-9
 	// (TestWhatifFastPathByteIdentical); this only reports where the
 	// solver effort went.
 	FastPathScenarios int
