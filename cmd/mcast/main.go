@@ -167,20 +167,40 @@ func runWhatif(p steady.Problem, factorList string) error {
 		e := g.Edge(rk.Edge)
 		fmt.Printf("  %s -> %-8s %+.6f%s\n", g.Name(e.From), g.Name(e.To), rk.Delta, infTag(rk.Infeasible))
 	}
-	best := -1
-	for i, r := range rep.Results {
-		if r.Kind == whatif.KindPromoteSource && r.Err == nil &&
-			(best < 0 || r.Delta > rep.Results[best].Delta) {
-			best = i
-		}
-	}
-	if best >= 0 {
+	if best := bestPromotion(rep.Results); best >= 0 {
 		r := rep.Results[best]
 		fmt.Printf("best source promotion: %s (%+.6f throughput)\n", g.Name(r.Node), r.Delta)
 	}
 	fmt.Printf("solver: baseline %v; scenarios %v; %d scenarios answered from the baseline optimum\n",
 		rep.BaselineStats, rep.ScenarioStats, rep.DominatedScenarios)
 	return nil
+}
+
+// bestPromotion returns the index of the source promotion with the
+// largest throughput delta in results, or -1 if no promotion
+// succeeded. Promotions whose delta is within 1e-9 of the best one,
+// relative to the larger of that delta and the best promotion's
+// throughput, tie: several relays often gain exactly as much, and their
+// solved deltas differ only in the LP's last bits, so the first in
+// scenario order (the lowest node ID) is named.
+func bestPromotion(results []whatif.Result) int {
+	best := -1
+	for i, r := range results {
+		if r.Kind == whatif.KindPromoteSource && r.Err == nil && (best < 0 || r.Delta > results[best].Delta) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	top := results[best]
+	tol := 1e-9 * math.Max(math.Abs(top.Delta), top.Throughput)
+	for i, r := range results[:best] {
+		if r.Kind == whatif.KindPromoteSource && r.Err == nil && r.Delta >= top.Delta-tol {
+			return i
+		}
+	}
+	return best
 }
 
 func infTag(inf bool) string {

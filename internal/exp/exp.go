@@ -200,7 +200,8 @@ func Sweep(cfg Config) ([]TaskResult, error) {
 		// not supply heuristics, one registry bound to it — is reused
 		// for every task this worker runs. Reset() between tasks
 		// restores the fresh-evaluator semantics bit for bit (see
-		// steady.Evaluator.Reset) while keeping the LP workspace, flow
+		// steady.Evaluator.Reset; no task grows another's stored
+		// multisource master) while keeping the LP workspace, flow
 		// solver and buffer allocations, so a sweep stops paying a full
 		// evaluator allocation per grid point.
 		ev := steady.NewEvaluator()

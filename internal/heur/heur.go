@@ -285,9 +285,12 @@ func AugmentedMulticast(ev *steady.Evaluator, p steady.Problem) (*Result, error)
 // AugmentedSources is the heuristic of Figure 8 (Multisource MC in the
 // plots): repeatedly promote the node with the largest aggregate
 // traffic in the current MulticastMultiSource-UB solution to a
-// secondary source, while this does not degrade the period. The
-// evaluator's path-column pool makes each promotion trial an
-// incremental re-solve of the multisource master.
+// secondary source, while this does not degrade the period. Each
+// promotion trial grows a copy of the evaluator's stored multisource
+// master, the solved program of the current sources, by one source and
+// re-solves it warm; a round's first trial first rebuilds that master
+// for the source the previous round accepted (steady.Evaluator.
+// MultiSourceUB).
 func AugmentedSources(ev *steady.Evaluator, p steady.Problem) (*Result, error) {
 	g := p.G
 	res := &Result{Name: "Multisource MC"}

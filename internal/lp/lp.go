@@ -113,10 +113,12 @@ type row struct {
 // Model is a linear program under construction. All variables are
 // implicitly bounded below by zero.
 //
-// A model may keep growing after a solve: AddRow and AddVar extend it
-// in place, and SolveFrom re-solves the extended program from the
-// previous optimal basis. Existing rows and objective coefficients must
-// not change between warm-started solves.
+// A model may keep growing after a solve: AddRow, AddVar and AddColumn
+// extend it in place, and SolveFrom re-solves the extended program from
+// the previous optimal basis. AddColumn appends entries to existing
+// rows; what must not change between warm-started solves is any
+// existing coefficient, right-hand side, row sense or objective
+// coefficient.
 type Model struct {
 	obj        []float64
 	names      []string
@@ -127,6 +129,35 @@ type Model struct {
 
 // NewModel returns an empty minimisation model.
 func NewModel() *Model { return &Model{} }
+
+// Clone returns a deep copy of the model: growing or solving either
+// copy never changes the other, so a solved model can be kept as a
+// template whose copies each grow on their own and re-solve warm from
+// the template's basis. Clone only reads m, so many goroutines may
+// clone one model that nobody grows.
+func (m *Model) Clone() *Model {
+	c := &Model{
+		obj:        append([]float64(nil), m.obj...),
+		names:      append([]string(nil), m.names...),
+		rows:       make([]row, len(m.rows)),
+		maximize:   m.maximize,
+		noPresolve: m.noPresolve,
+	}
+	nnz := 0
+	for _, r := range m.rows {
+		nnz += len(r.terms)
+	}
+	// One arena for every row's terms; each row's slice is capped at its
+	// length, so a later append to one row reallocates instead of
+	// overwriting the next row's terms.
+	arena := make([]Term, 0, nnz)
+	for i, r := range m.rows {
+		at := len(arena)
+		arena = append(arena, r.terms...)
+		c.rows[i] = row{sense: r.sense, rhs: r.rhs, terms: arena[at:len(arena):len(arena)]}
+	}
+	return c
+}
 
 // Maximize switches the model to maximisation.
 func (m *Model) Maximize() { m.maximize = true }

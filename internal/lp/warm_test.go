@@ -243,3 +243,55 @@ func TestWarmStartChainedRounds(t *testing.T) {
 		t.Errorf("factorizations = %d, want >= 6 (one sparse LU per solve: the cold start plus five warm rounds)", st.Factorizations)
 	}
 }
+
+// TestModelCloneGrowsIndependently pins Model.Clone as a template: a
+// solved model and its clone each grow on their own — a column that
+// adds entries to existing rows, an appended cut — and re-solve warm
+// from the template's basis, and neither growth shows in the other
+// copy or in a second clone.
+func TestModelCloneGrowsIndependently(t *testing.T) {
+	m := NewModel()
+	m.Maximize()
+	x := m.AddVar(1, "x")
+	budget := m.AddRow(LE, 4, Term{x, 1})
+	cap2 := m.AddRow(LE, 6, Term{x, 1})
+	ws := NewWorkspace()
+	sol, err := m.SolveWith(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := m.Clone()
+	y := a.AddColumn(3, "y", RowCoef{Row: budget, Coef: 1}, RowCoef{Row: cap2, Coef: 2})
+	warmA, err := a.SolveFrom(ws, sol.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warmA.WarmStarted || !approx(warmA.Objective, 9, 1e-8) || !approx(warmA.X[y], 3, 1e-8) {
+		t.Fatalf("grown clone: warm %v, objective %v, X %v; want warm, 9 at y = 3", warmA.WarmStarted, warmA.Objective, warmA.X)
+	}
+
+	b := m.Clone()
+	b.AddRow(LE, 1, Term{x, 1})
+	warmB, err := b.SolveFrom(ws, sol.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warmB.WarmStarted || !approx(warmB.Objective, 1, 1e-8) {
+		t.Fatalf("cut clone: warm %v, objective %v; want warm, 1", warmB.WarmStarted, warmB.Objective)
+	}
+
+	if m.NumVars() != 1 || m.NumRows() != 2 || len(m.rows[budget].terms) != 1 || len(m.rows[cap2].terms) != 1 {
+		t.Fatalf("template grew with its clones: %d vars, %d rows", m.NumVars(), m.NumRows())
+	}
+	again, err := m.SolveFrom(ws, sol.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Objective != sol.Objective {
+		t.Errorf("template objective %v after its clones grew, want %v", again.Objective, sol.Objective)
+	}
+	if c := m.Clone(); c.NumVars() != 1 || c.NumRows() != 2 || len(c.rows[cap2].terms) != 1 {
+		t.Errorf("a later clone sees another clone's growth: %d vars, %d rows", c.NumVars(), c.NumRows())
+	}
+}

@@ -9,8 +9,8 @@ import (
 // shard is one lane of the evaluator pool: a mutex-confined
 // steady.Evaluator (documented as not safe for concurrent use) plus a
 // request counter. The evaluator is Reset between requests — its
-// logical state (result cache, cut and path pools) never leaks from
-// one request into the next, which is what keeps every response
+// logical state (result cache, cut and path pools, stored multisource
+// master) never leaks from one request into the next, which is what keeps every response
 // bit-identical to a cold library call — while its LP workspace keeps
 // its allocated scratch memory and its cumulative solver statistics
 // across the shard's lifetime.

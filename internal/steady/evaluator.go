@@ -145,7 +145,9 @@ const (
 //     subgraph, so dropped-node trials inherit the full incumbent cut
 //     set instead of re-peeling it);
 //   - MulticastMultiSource-UB path columns are pooled and re-seeded the
-//     same way across promotion trials.
+//     same way, and the evaluator keeps one solved path master: a
+//     promotion trial copies it and grows it by one source, re-solving
+//     warm from its optimal basis instead of from scratch.
 //
 // An Evaluator is not safe for concurrent use; sweep workers hold one
 // evaluator per task.
@@ -157,7 +159,12 @@ type Evaluator struct {
 	cutSeen  map[graph.NodeID]map[string]bool
 	paths    map[graph.NodeID][]pooledPath
 	pathSeen map[graph.NodeID]map[string]bool
-	stats    SolveStats
+	// ms is the one stored MulticastMultiSource-UB path master
+	// (multisource.go), solved to optimality; nil before the first
+	// solve. It is never changed in place, only replaced, so evaluators
+	// restored from this one (ResetTo, Clone) share it.
+	ms    *msMaster
+	stats SolveStats
 
 	// Tree fast-path state (fastpath.go): the topology classifier with
 	// its memoised view, the rate-scan scratch, and the opt-out switch
@@ -180,18 +187,20 @@ func NewEvaluator() *Evaluator {
 }
 
 // Reset discards the evaluator's logical state — the result cache, the
-// pooled cuts and the pooled path columns — while retaining the LP
-// workspace (and its allocated scratch memory) and the cumulative
-// statistics. After a Reset the evaluator computes exactly what a fresh
-// NewEvaluator() would, which is what lets a serving shard reuse one
-// evaluator across requests and still answer every request bit-identically
-// to a cold library call (see internal/serve).
+// pooled cuts, the pooled path columns and the stored path master —
+// while retaining the LP workspace (and its allocated scratch memory)
+// and the cumulative statistics. After a Reset the evaluator computes
+// exactly what a fresh NewEvaluator() would, which is what lets a
+// serving shard reuse one evaluator across requests and still answer
+// every request bit-identically to a cold library call (see
+// internal/serve).
 func (e *Evaluator) Reset() {
 	clear(e.cache)
 	clear(e.cutPools)
 	clear(e.cutSeen)
 	clear(e.paths)
 	clear(e.pathSeen)
+	e.ms = nil
 	// Classification is content-derived and deterministic, so keeping
 	// the memo would be correct; dropping it releases the graph the
 	// classifier pins, which matters for serving shards that outlive
@@ -202,7 +211,9 @@ func (e *Evaluator) Reset() {
 // ResetTo replaces the evaluator's logical state with a deep copy of
 // src's — the result cache, the pooled cuts, the pooled path columns
 // and the fast-path switch — while retaining its own LP workspace (and
-// its allocated scratch memory) and its cumulative statistics. After
+// its allocated scratch memory) and its cumulative statistics. The
+// stored path master is shared rather than copied: no evaluator
+// changes a stored master, promotion trials grow copies of it. After
 // ResetTo(src) the evaluator computes exactly what src.Clone() would,
 // and shares no mutable state with src. The what-if engine keeps one
 // evaluator per worker and restores it to the baseline snapshot before
@@ -234,6 +245,7 @@ func (e *Evaluator) ResetTo(src *Evaluator) {
 	for s, seen := range src.pathSeen {
 		e.pathSeen[s] = maps.Clone(seen)
 	}
+	e.ms = src.ms
 	e.noFastPath = src.noFastPath
 }
 
@@ -434,12 +446,14 @@ func (e *Evaluator) BroadcastEB(g *graph.Graph, source graph.NodeID) (*Bound, er
 
 // MultiSourceUB evaluates the paper's MulticastMultiSource-UB program
 // (multisource.go) with the intermediate sources extras, in promotion
-// order, cached and seeded from the pooled path columns of earlier
-// promotion trials.
+// order, cached. When extras extends the promotion order of the stored
+// path master by one source (or two), the master is grown and
+// re-solved warm; otherwise it is built cold, seeded from the pooled
+// path columns of earlier promotion trials, and stored.
 func (e *Evaluator) MultiSourceUB(p Problem, extras []graph.NodeID) (*Bound, error) {
 	aux := hashNodes(p.Targets, true) ^ (hashNodes(extras, false) * 0x9e3779b97f4a7c15)
 	key := evalKey{progMultiSource, fingerprintGraph(p.G), p.Source, aux}
-	return e.lookup(key, func() (*Bound, error) { return e.multiSourceUB(p, extras) })
+	return e.lookup(key, func() (*Bound, error) { return e.multiSourceUB(p, extras, key.graph) })
 }
 
 // DropNodeBroadcast evaluates Broadcast-EB with one node removed — the
@@ -469,7 +483,9 @@ func (e *Evaluator) AddNodeBroadcast(g *graph.Graph, source, add graph.NodeID) (
 
 // PromoteSource evaluates MulticastMultiSource-UB with one more
 // promoted source appended to extras — the inner step of AUGMENTED
-// SOURCES.
+// SOURCES. When the evaluator's stored path master is that of extras,
+// or of extras without its last source, the trial grows a copy of it
+// instead of building a master of its own (see MultiSourceUB).
 func (e *Evaluator) PromoteSource(p Problem, extras []graph.NodeID, cand graph.NodeID) (*Bound, error) {
 	grown := make([]graph.NodeID, 0, len(extras)+1)
 	grown = append(grown, extras...)

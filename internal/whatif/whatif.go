@@ -13,7 +13,9 @@
 // from the baseline itself, without a solve. Every other scenario runs
 // on a steady.Evaluator restored to the baseline snapshot, so the
 // baseline's pooled Multicast-LB cuts and multisource path columns
-// warm-start each perturbed LP (DESIGN.md Section 10).
+// warm-start each perturbed LP, and each source promotion grows the
+// baseline's solved multisource master instead of building its own
+// (DESIGN.md Section 10).
 //
 // Determinism contract: scenario enumeration is a pure function of the
 // platform and the config, and every scenario is either answered from
@@ -127,8 +129,9 @@ func DefaultConfig() Config {
 // Baseline is the unperturbed reference every scenario is compared
 // against. It owns a private evaluator snapshot taken after the
 // baseline solves, so the scenario evaluators restored to Ev inherit
-// the pooled cuts and path columns whatever happens to the evaluator
-// the baseline was computed on (serving shards Reset theirs between
+// the pooled cuts and path columns, and the solved multisource master
+// that promotion scenarios grow, whatever happens to the evaluator the
+// baseline was computed on (serving shards Reset theirs between
 // requests).
 type Baseline struct {
 	Problem steady.Problem

@@ -408,3 +408,55 @@ func TestStreamCanceledMidSolve(t *testing.T) {
 		t.Errorf("no scenario was canceled: %q", lines)
 	}
 }
+
+// TestAnalyzePromotionsAcrossWorkers pins the promotion scenarios on
+// the shared baseline path master: every worker restores its evaluator
+// to the baseline (ResetTo), which shares the baseline's solved
+// MulticastMultiSource-UB master read-only, and each promotion grows
+// its own copy of it warm. The report must be identical at 1 and 4
+// workers (run it under -race to check the sharing), every scenario
+// solve must be warm, and each promotion must match a fresh evaluator's
+// cold solve to 1e-9.
+func TestAnalyzePromotionsAcrossWorkers(t *testing.T) {
+	pl, err := tiers.Generate(tiers.Small(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := steady.NewProblem(pl.G, pl.Source, pl.RandomTargets(exp.NewRNG(7, 2), 0.4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{AllSources: true}
+	serial, err := Analyze(p, withWorkers(cfg, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Analyze(p, withWorkers(cfg, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Results) != len(pl.G.ActiveNodes())-1 {
+		t.Fatalf("%d promotion scenarios, want one per non-source node", len(serial.Results))
+	}
+	for i, a := range serial.Results {
+		if b := parallel.Results[i]; a != b {
+			t.Fatalf("scenario %d diverges across worker counts:\n1: %+v\n4: %+v", i, a, b)
+		}
+		if a.Err != nil {
+			t.Fatalf("scenario %d: %v", i, a.Err)
+		}
+		cold, err := steady.NewEvaluator().MultiSourceUB(p, []graph.NodeID{a.Node})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(a.Period-cold.Period) > 1e-9*cold.Period {
+			t.Errorf("promotion of %s: period %v, cold %v", pl.G.Name(a.Node), a.Period, cold.Period)
+		}
+	}
+	if serial.ScenarioStats != parallel.ScenarioStats {
+		t.Errorf("scenario solver stats diverge: %+v vs %+v", serial.ScenarioStats, parallel.ScenarioStats)
+	}
+	if st := serial.ScenarioStats; st.ColdSolves != 0 || st.WarmSolves == 0 {
+		t.Errorf("promotion scenarios solved %d cold and %d warm, want every solve warm", st.ColdSolves, st.WarmSolves)
+	}
+}
