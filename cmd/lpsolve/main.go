@@ -7,7 +7,6 @@
 //	lpsolve [flags] problem.mps     ("-" reads stdin)
 //
 //	-check        cross-validate against the dense reference simplex
-//	-presolve     run the presolve reductions (default true)
 //	-vars         print every variable's value
 //	-duals        print every constraint row's dual value
 //	-q            print only the objective value
@@ -62,7 +61,6 @@ func fail(code int, format string, args ...any) {
 func main() {
 	fs := flag.NewFlagSet("lpsolve", flag.ContinueOnError)
 	check := fs.Bool("check", false, "cross-validate the solution against the dense reference simplex")
-	presolve := fs.Bool("presolve", true, "run presolve reductions before the simplex")
 	vars := fs.Bool("vars", false, "print variable values (original variable space)")
 	duals := fs.Bool("duals", false, "print constraint duals (original row space)")
 	quiet := fs.Bool("q", false, "print only the objective value")
@@ -102,10 +100,8 @@ func main() {
 	}
 
 	m := mps.Model
-	m.SetPresolve(*presolve)
-	ws := lp.NewWorkspace()
 	start := time.Now()
-	sol, err := m.SolveWith(ws)
+	sol, err := m.Solve()
 	if err != nil {
 		fail(exitInternal, "%v", err)
 	}
@@ -144,9 +140,7 @@ func main() {
 		if sol.Status == lp.Optimal {
 			fmt.Printf("objective %.10g\n", mps.Objective(sol))
 		}
-		st := ws.Stats()
 		fmt.Printf("simplex   %d iterations (%d dual) in %s\n", sol.Iterations, sol.DualIterations, elapsed.Round(time.Microsecond))
-		fmt.Printf("presolve  removed %d rows, %d cols\n", st.PresolveRows, st.PresolveCols)
 		if *check {
 			fmt.Printf("check     dense reference agrees\n")
 		}

@@ -134,7 +134,7 @@ func runWhatif(p steady.Problem, factorList string) error {
 			continue
 		}
 		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+		if err != nil {
 			return fmt.Errorf("bad -whatif-factors entry %q", f)
 		}
 		cfg.EdgeFactors = append(cfg.EdgeFactors, v)

@@ -25,15 +25,13 @@ func coverModel(rng *rand.Rand, rows, cols, perRow int) *Model {
 	return mdl
 }
 
-// BenchmarkCoverPhase1 solves a 700-row covering program cold with
-// presolve off, so the simplex sees every row and starts each on an
-// artificial. Phase 1 prices with a dense y (every basic artificial
+// BenchmarkCoverPhase1 solves a 700-row covering program cold: the
+// simplex starts every row on an artificial. Phase 1 prices with a dense y (every basic artificial
 // costs 1): the Dantzig refill keeps its column scan there (y has
 // ~540 of 700 rows nonzero), BTRAN scans long etas whole and FTRAN
 // scans w instead of marking it.
 func BenchmarkCoverPhase1(b *testing.B) {
 	mdl := coverModel(rand.New(rand.NewSource(1)), 700, 1400, 4)
-	mdl.SetPresolve(false)
 	ws := NewWorkspace()
 	iters := 0
 	for i := 0; i < b.N; i++ {

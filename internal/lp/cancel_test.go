@@ -38,17 +38,14 @@ func cancelTestModel(srcs, dsts int) *Model {
 }
 
 func TestSetStopCancelsSolve(t *testing.T) {
-	for _, presolve := range []bool{true, false} {
-		m := cancelTestModel(20, 30)
-		m.SetPresolve(presolve)
-		ws := NewWorkspace()
-		var stop atomic.Bool
-		stop.Store(true)
-		ws.SetStop(&stop)
-		sol, err := m.SolveWith(ws)
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("presolve=%v: SolveWith = (%v, %v), want ErrCanceled", presolve, sol, err)
-		}
+	m := cancelTestModel(20, 30)
+	ws := NewWorkspace()
+	var stop atomic.Bool
+	stop.Store(true)
+	ws.SetStop(&stop)
+	sol, err := m.SolveWith(ws)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("SolveWith = (%v, %v), want ErrCanceled", sol, err)
 	}
 }
 

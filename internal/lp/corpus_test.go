@@ -42,55 +42,43 @@ func maxResidual(m *Model, x []float64) float64 {
 	return worst
 }
 
-// crossValidate solves the model three ways — sparse with presolve,
-// sparse without, dense reference — and asserts they agree on status
-// and objective, and that the sparse solutions are feasible and
-// satisfy strong duality.
+// crossValidate solves the model two ways — the sparse production
+// solver and the dense reference — and asserts they agree on status
+// and objective, and that the sparse solution is feasible and
+// satisfies strong duality.
 func crossValidate(t *testing.T, name string, f *MPS) {
 	t.Helper()
 	m := f.Model
 
-	m.SetPresolve(true)
-	pre, err := m.SolveWith(NewWorkspace())
+	sol, err := m.SolveWith(NewWorkspace())
 	if err != nil {
-		t.Fatalf("%s: presolved solve: %v", name, err)
+		t.Fatalf("%s: sparse solve: %v", name, err)
 	}
-	m.SetPresolve(false)
-	raw, err := m.SolveWith(NewWorkspace())
-	if err != nil {
-		t.Fatalf("%s: raw solve: %v", name, err)
-	}
-	m.SetPresolve(true)
 	ref, err := SolveDense(m)
 	if err != nil {
 		t.Fatalf("%s: dense reference: %v", name, err)
 	}
 
-	if pre.Status != ref.Status || raw.Status != ref.Status {
-		t.Fatalf("%s: status presolved=%v raw=%v dense=%v", name, pre.Status, raw.Status, ref.Status)
+	if sol.Status != ref.Status {
+		t.Fatalf("%s: status sparse=%v dense=%v", name, sol.Status, ref.Status)
 	}
 	if ref.Status != Optimal {
 		return
 	}
-	if !testutil.Near(pre.Objective, ref.Objective, corpusTol) {
-		t.Fatalf("%s: presolved objective %v, dense reference %v", name, pre.Objective, ref.Objective)
+	if !testutil.Near(sol.Objective, ref.Objective, corpusTol) {
+		t.Fatalf("%s: sparse objective %v, dense reference %v", name, sol.Objective, ref.Objective)
 	}
-	if !testutil.Near(raw.Objective, ref.Objective, corpusTol) {
-		t.Fatalf("%s: raw objective %v, dense reference %v", name, raw.Objective, ref.Objective)
+	if r := maxResidual(m, sol.X); r > feasTol {
+		t.Errorf("%s: sparse solution violates feasibility by %v", name, r)
 	}
-	for label, sol := range map[string]*Solution{"presolved": pre, "raw": raw} {
-		if r := maxResidual(m, sol.X); r > feasTol {
-			t.Errorf("%s: %s solution violates feasibility by %v", name, label, r)
-		}
-		checkStrongDuality(t, m, sol)
-	}
+	checkStrongDuality(t, m, sol)
 }
 
 // TestCorpusCrossValidation runs every committed MPS instance through
-// the sparse solver (with and without presolve) and the dense
-// reference, demanding status and objective agreement. This is the
-// acceptance gate of the toolkit: the production simplex must agree
-// with an independently-written oracle on the whole corpus.
+// the sparse solver and the dense reference, demanding status and
+// objective agreement. This is the acceptance gate of the toolkit: the
+// production simplex must agree with an independently-written oracle
+// on the whole corpus.
 func TestCorpusCrossValidation(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.mps"))
 	if err != nil || len(files) == 0 {
@@ -240,10 +228,10 @@ func statusBoundary(m *Model, disagreedOnUnbounded bool) bool {
 
 // FuzzSolveMPS feeds fuzzed MPS text through the reader and, whenever
 // it parses into a reasonably-conditioned model, cross-validates the
-// production sparse simplex (presolve on, the default path) against
-// the dense reference: statuses must agree, optimal objectives must
-// match to 1e-6 relative, and the sparse solution must be primal
-// feasible with duals satisfying y.b = objective.
+// production sparse simplex against the dense reference: statuses must
+// agree, optimal objectives must match to 1e-6 relative, and the
+// sparse solution must be primal feasible with duals satisfying
+// y.b = objective.
 func FuzzSolveMPS(f *testing.F) {
 	files, _ := filepath.Glob(filepath.Join("testdata", "*.mps"))
 	for _, fn := range files {

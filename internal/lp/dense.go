@@ -4,8 +4,8 @@
 // simplex: a textbook two-phase full-tableau simplex over a dense
 // matrix, pivoting by Bland's rule so it provably terminates with no
 // anti-cycling machinery, perturbations or partial pricing. It shares
-// no code with the production path — lu.go, revised.go and presolve.go
-// are all bypassed — so any bug the two engines share has to have been
+// no code with the production path — lu.go and revised.go are both
+// bypassed — so any bug the two engines share has to have been
 // made twice independently. It is O(rows * totalCols) per pivot and
 // allocates the full tableau, which is exactly why it is trusted and
 // exactly why nothing on a hot path should call it.

@@ -31,15 +31,15 @@
 // costs on every re-solve:
 //
 //   - Solve() is the one-shot entry point (fresh workspace, cold start).
-//   - SolveWith(ws) reuses a workspace's allocations but still starts
-//     cold.
+//   - SolveWith(ws) is the one cold path: it reuses a workspace's
+//     allocations and hands the model to the simplex as built.
 //   - SolveFrom(ws, basis) warm-starts from a previous optimal basis.
 //     Rows appended since the basis was captured enter the basis on
 //     their slack and any resulting primal infeasibility is repaired by
 //     dual-simplex pivots; columns appended since then are priced
-//     directly by the primal. A stale or unusable basis silently falls
-//     back to a cold solve, so SolveFrom is never less robust than
-//     Solve.
+//     directly by the primal. An empty, stale or unusable basis falls
+//     back to SolveWith, so SolveFrom is never less robust than Solve
+//     and callers need no cold/warm branch of their own.
 package lp
 
 import (
@@ -120,11 +120,10 @@ type row struct {
 // existing coefficient, right-hand side, row sense or objective
 // coefficient.
 type Model struct {
-	obj        []float64
-	names      []string
-	rows       []row
-	maximize   bool
-	noPresolve bool
+	obj      []float64
+	names    []string
+	rows     []row
+	maximize bool
 }
 
 // NewModel returns an empty minimisation model.
@@ -137,11 +136,10 @@ func NewModel() *Model { return &Model{} }
 // clone one model that nobody grows.
 func (m *Model) Clone() *Model {
 	c := &Model{
-		obj:        append([]float64(nil), m.obj...),
-		names:      append([]string(nil), m.names...),
-		rows:       make([]row, len(m.rows)),
-		maximize:   m.maximize,
-		noPresolve: m.noPresolve,
+		obj:      append([]float64(nil), m.obj...),
+		names:    append([]string(nil), m.names...),
+		rows:     make([]row, len(m.rows)),
+		maximize: m.maximize,
 	}
 	nnz := 0
 	for _, r := range m.rows {
@@ -161,12 +159,6 @@ func (m *Model) Clone() *Model {
 
 // Maximize switches the model to maximisation.
 func (m *Model) Maximize() { m.maximize = true }
-
-// SetPresolve toggles the presolve reduction pass (presolve.go) that
-// cold solves run by default. Turning it off makes SolveWith hand the
-// model to the simplex verbatim — useful for debugging, for measuring
-// presolve's effect, and as an escape hatch.
-func (m *Model) SetPresolve(on bool) { m.noPresolve = !on }
 
 // AddVar adds a non-negative variable with the given objective
 // coefficient and returns its index.
@@ -293,47 +285,13 @@ func (m *Model) Solve() (*Solution, error) {
 // allocations (a nil workspace allocates a private one). The workspace
 // must not be shared between goroutines.
 //
-// Unless the model opts out via SetPresolve(false), the solve first
-// runs the presolve reductions (presolve.go); the simplex sees the
-// reduced program and postsolve maps its solution — values, duals and
-// basis — back to the caller's row and column space. A model presolve
-// reduces to nothing, or proves infeasible or unbounded outright, never
-// reaches the simplex at all.
+// It is the cold retry ladder: a clean cold solve, then — only if the
+// simplex cycled out on a degenerate plateau — one retry with a tiny
+// deterministic right-hand-side perturbation.
 func (m *Model) SolveWith(ws *Workspace) (*Solution, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if m.noPresolve {
-		return ws.solveColdLadder(m)
-	}
-	switch ws.presolve(m) {
-	case psInfeasible:
-		return &Solution{Status: Infeasible, X: make([]float64, len(m.obj)), Dual: make([]float64, len(m.rows))}, nil
-	case psNoChange:
-		return ws.solveColdLadder(m)
-	}
-	rsol, err := ws.solveColdLadder(&ws.ps.red)
-	if err != nil {
-		return nil, err
-	}
-	if ws.ps.unbnd {
-		// Presolve found an improving ray along an unconstrained column,
-		// a verdict that only stands on a feasible model — infeasibility
-		// always wins over unboundedness.
-		st := Unbounded
-		if rsol.Status == Infeasible {
-			st = Infeasible
-		}
-		return &Solution{Status: st, X: make([]float64, len(m.obj)), Dual: make([]float64, len(m.rows))}, nil
-	}
-	return ws.postsolve(m, rsol), nil
-}
-
-// solveColdLadder is the cold retry ladder shared by SolveWith and
-// SolveFrom's fallback: a clean cold solve, then — only if the simplex
-// cycled out on a degenerate plateau — one retry with a tiny
-// deterministic right-hand-side perturbation.
-func (ws *Workspace) solveColdLadder(m *Model) (*Solution, error) {
 	sol, err := ws.solveCold(m, 0)
 	if errors.Is(err, ErrIterationLimit) {
 		sol, err = ws.solveCold(m, 1e-7)

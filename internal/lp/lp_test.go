@@ -644,3 +644,211 @@ func TestStrongDuality(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSmallModelOptima pins the hand-computed optima of small
+// degenerate programs: a variable fixed by an equality, single-variable
+// bounds, a zero upper bound, a costless absorber column, an equality
+// with a substitutable column, and duplicate or redundant rows. Where
+// the optimal vertex or the duals are unique the test pins them too;
+// every solution must be primal feasible and meet strong duality.
+func TestSmallModelOptima(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(m *Model)
+		obj   float64
+		x     []float64 // nil when the optimal vertex is not unique
+		dual  []float64
+	}{
+		{"fixed by an equality singleton", func(m *Model) {
+			x, y := m.AddVar(2, "x"), m.AddVar(3, "y")
+			m.AddRow(EQ, 4, Term{x, 1})
+			m.AddRow(GE, 6, Term{x, 1}, Term{y, 1})
+		}, 14, []float64{4, 2}, []float64{-1, 3}},
+		{"lower-bound singleton", func(m *Model) {
+			x := m.AddVar(1, "x")
+			m.AddRow(GE, 5, Term{x, 1})
+		}, 5, []float64{5}, []float64{1}},
+		{"zero upper bound", func(m *Model) {
+			// min -x subject to x <= 0: the <= row's dual is -1, not a
+			// sign-violating +1.
+			x := m.AddVar(-1, "x")
+			m.AddRow(LE, 0, Term{x, 1})
+		}, 0, []float64{0}, []float64{-1}},
+		{"costless absorber column", func(m *Model) {
+			x, y := m.AddVar(0, "x"), m.AddVar(1, "y")
+			m.AddRow(GE, 3, Term{x, 1}, Term{y, 1})
+		}, 0, []float64{3, 0}, []float64{0}},
+		{"equality with a substitutable column", func(m *Model) {
+			// min 2s + x with s = 5 - x: x runs to its upper bound 3.
+			s, x := m.AddVar(2, "s"), m.AddVar(1, "x")
+			m.AddRow(EQ, 5, Term{s, 1}, Term{x, 1})
+			m.AddRow(LE, 3, Term{x, 1})
+		}, 7, []float64{2, 3}, []float64{2, -1}},
+		{"duplicate and redundant rows", func(m *Model) {
+			x, y := m.AddVar(1, "x"), m.AddVar(1, "y")
+			m.AddRow(GE, 0, Term{x, 1}, Term{y, 1}) // redundant under x,y >= 0
+			m.AddRow(GE, 2, Term{x, 1}, Term{y, 1}) // binding
+			m.AddRow(GE, 1, Term{x, 1}, Term{y, 1}) // duplicate, dominated
+		}, 2, nil, []float64{0, 1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewModel()
+			tc.build(m)
+			sol, err := m.Solve()
+			if err != nil || sol.Status != Optimal {
+				t.Fatalf("got %+v (err %v), want optimal", sol, err)
+			}
+			if !approx(sol.Objective, tc.obj, 1e-9) {
+				t.Errorf("objective = %v, want %v", sol.Objective, tc.obj)
+			}
+			for j, want := range tc.x {
+				if !approx(sol.X[j], want, 1e-9) {
+					t.Errorf("X = %v, want %v", sol.X, tc.x)
+					break
+				}
+			}
+			for i, want := range tc.dual {
+				if !approx(sol.Dual[i], want, 1e-9) {
+					t.Errorf("Dual = %v, want %v", sol.Dual, tc.dual)
+					break
+				}
+			}
+			checkPrimalFeasible(t, m, sol.X)
+			checkStrongDuality(t, m, sol)
+		})
+	}
+}
+
+// TestPresolveMaximizeModels solves a maximising program with a fixed
+// variable and a duplicated <= row: the min-normalised solve must not
+// leak the wrong sign into values or duals.
+func TestPresolveMaximizeModels(t *testing.T) {
+	m := NewModel()
+	m.Maximize()
+	x := m.AddVar(3, "x")
+	y := m.AddVar(1, "y")
+	m.AddRow(EQ, 2, Term{x, 1})             // fixes x = 2
+	m.AddRow(LE, 8, Term{x, 2}, Term{y, 1}) // y <= 4 after the fix
+	m.AddRow(LE, 8, Term{x, 2}, Term{y, 1}) // duplicate
+	sol, err := m.Solve()
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("got %+v (err %v), want optimal", sol, err)
+	}
+	if !approx(sol.X[x], 2, 1e-9) || !approx(sol.X[y], 4, 1e-9) {
+		t.Errorf("X = %v, want [2 4]", sol.X)
+	}
+	if !approx(sol.Objective, 10, 1e-9) {
+		t.Errorf("objective = %v, want 10", sol.Objective)
+	}
+	checkPrimalFeasible(t, m, sol.X)
+	checkStrongDuality(t, m, sol)
+	// Max-model convention: the binding <= row prices y at +1.
+	if sol.Dual[1] < -dualTol {
+		t.Errorf("dual[1] = %v, want >= 0 for a binding <= row of a max model", sol.Dual[1])
+	}
+}
+
+// TestPresolveDetectsStatuses pins the Infeasible/Unbounded verdicts on
+// the shapes a presolve pass would settle before any pivot: an empty
+// row, disagreeing duplicate equalities and a column no row touches.
+func TestPresolveDetectsStatuses(t *testing.T) {
+	t.Run("empty row contradiction", func(t *testing.T) {
+		m := NewModel()
+		m.AddVar(1, "x")
+		m.AddRow(GE, 1) // 0 >= 1
+		sol, err := m.Solve()
+		if err != nil || sol.Status != Infeasible {
+			t.Fatalf("got %+v (err %v), want infeasible", sol, err)
+		}
+	})
+	t.Run("duplicate equalities disagree", func(t *testing.T) {
+		m := NewModel()
+		x := m.AddVar(1, "x")
+		y := m.AddVar(1, "y")
+		m.AddRow(EQ, 1, Term{x, 1}, Term{y, 2})
+		m.AddRow(EQ, 3, Term{x, 1}, Term{y, 2})
+		sol, err := m.Solve()
+		if err != nil || sol.Status != Infeasible {
+			t.Fatalf("got %+v (err %v), want infeasible", sol, err)
+		}
+	})
+	t.Run("unconstrained column ray", func(t *testing.T) {
+		m := NewModel()
+		m.Maximize()
+		m.AddVar(1, "x")
+		sol, err := m.Solve()
+		if err != nil || sol.Status != Unbounded {
+			t.Fatalf("got %+v (err %v), want unbounded", sol, err)
+		}
+	})
+	t.Run("infeasibility beats an unconstrained ray", func(t *testing.T) {
+		// Fuzz-found (FuzzSolveMPS): a column whose duplicate terms
+		// cancel to zero looks like an improving free ray, but the rest
+		// of the model is infeasible — and unboundedness is only a valid
+		// verdict on a feasible model.
+		m := NewModel()
+		free := m.AddVar(-10, "free")
+		x := m.AddVar(0, "x")
+		s := m.AddVar(0, "s")
+		m.AddRow(EQ, 0, Term{free, 1}, Term{free, -1}) // coalesces to 0 = 0
+		m.AddRow(EQ, 0, Term{x, 1}, Term{s, 1})        // x = s = 0
+		m.AddRow(GE, 1, Term{x, 1})                    // contradicts x = 0
+		sol, err := m.Solve()
+		if err != nil || sol.Status != Infeasible {
+			t.Fatalf("got %+v (err %v), want infeasible", sol, err)
+		}
+		// The mirror case stays Unbounded: same ray, feasible remainder.
+		m2 := NewModel()
+		m2.AddVar(-10, "free")
+		x2 := m2.AddVar(0, "x")
+		m2.AddRow(GE, 1, Term{x2, 1})
+		sol2, err := m2.Solve()
+		if err != nil || sol2.Status != Unbounded {
+			t.Fatalf("got %+v (err %v), want unbounded", sol2, err)
+		}
+	})
+}
+
+// TestPresolveShiftInfeasibleTail checks a lower bound against a later
+// contradicting upper bound: x >= 5 and x <= 3 is infeasible.
+func TestPresolveShiftInfeasibleTail(t *testing.T) {
+	m := NewModel()
+	x := m.AddVar(1, "x")
+	m.AddRow(GE, 5, Term{x, 1})
+	m.AddRow(LE, 3, Term{x, 1})
+	sol, err := m.Solve()
+	if err != nil || sol.Status != Infeasible {
+		t.Fatalf("got %+v (err %v), want infeasible", sol, err)
+	}
+}
+
+// TestPresolveShiftDualThroughSubstEQ is the decoded form of a
+// fuzz-found duality gap (FuzzSolveMPS corpus 824a622742f18e2f): a
+// small flow model whose demand row DEM2 forces all the flow through
+// two balance equations. The optimum is 300, y.b must equal it, and
+// DEM2's dual is 50.
+func TestPresolveShiftDualThroughSubstEQ(t *testing.T) {
+	m := NewModel()
+	x1 := m.AddVar(0, "x1")
+	x00 := m.AddVar(0, "x00")
+	i1 := m.AddVar(5, "i1")
+	x0 := m.AddVar(7, "x0")
+	s2 := m.AddVar(0, "s2")
+	m.AddRow(EQ, 0, Term{x1, 1}, Term{i1, -1}, Term{x0, 1})   // BAL1
+	m.AddRow(EQ, 0, Term{x00, 1}, Term{i1, 1}, Term{s2, -10}) // BAL2
+	m.AddRow(LE, 0)                                           // empty
+	m.AddRow(LE, 10, Term{x00, 1})                            // CAP2
+	m.AddRow(GE, 10, Term{x1, 1})                             // DEM1
+	m.AddRow(GE, 7, Term{s2, 1})                              // DEM2
+	sol, err := m.Solve()
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("got %+v (err %v), want optimal", sol, err)
+	}
+	if !approx(sol.Objective, 300, 1e-9) {
+		t.Fatalf("objective = %v, want 300", sol.Objective)
+	}
+	checkStrongDuality(t, m, sol)
+	if !approx(sol.Dual[5], 50, 1e-7) {
+		t.Errorf("dual[DEM2] = %v, want 50", sol.Dual[5])
+	}
+}

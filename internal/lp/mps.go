@@ -25,7 +25,8 @@
 //     columns with negated coefficients.
 //   - UP u / FX / RANGES: the residual upper bound becomes one extra
 //     <= row over the lowered column(s); an FX variable gets the
-//     degenerate row x' <= 0, which presolve folds away again.
+//     degenerate row x' <= 0, which the simplex solves like any other
+//     row.
 //
 // The MPS value returned by ReadMPS records the inverse transform:
 // Values, Value and Objective report in the original variable space,

@@ -199,20 +199,18 @@ func TestPropertyCoveringModels(t *testing.T) {
 
 // TestPropertyMaxDualsColdWarmPresolved property-tests the documented
 // dual-sign convention on maximisation models (y >= 0 for <= rows,
-// objective negated back) across all three solve paths: the raw cold
-// simplex, the presolved default, and a warm re-solve of a grown
-// model. Only minimisation duals were property-tested before, so a
-// sign slip on the max-negation path — in extract, in postsolve, or in
-// the warm dual cleanup — had no coverage.
+// objective negated back) on both solve paths: the cold simplex and a
+// warm re-solve of a grown model. Only minimisation duals were
+// property-tested before, so a sign slip on the max-negation path — in
+// extract or in the warm dual cleanup — had no coverage.
 func TestPropertyMaxDualsColdWarmPresolved(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	warmHits := 0
 	for trial := 0; trial < 40; trial++ {
 		m := randomPackingModel(rng)
 
-		// Raw cold path (presolve bypassed).
-		m.SetPresolve(false)
-		cold, err := m.SolveWith(NewWorkspace())
+		ws := NewWorkspace()
+		cold, err := m.SolveWith(ws)
 		if err != nil {
 			t.Fatalf("trial %d cold: %v", trial, err)
 		}
@@ -222,30 +220,14 @@ func TestPropertyMaxDualsColdWarmPresolved(t *testing.T) {
 		checkPrimalFeasible(t, m, cold.X)
 		checkStrongDuality(t, m, cold)
 
-		// Presolved default path.
-		m.SetPresolve(true)
-		ws := NewWorkspace()
-		pre, err := m.SolveWith(ws)
-		if err != nil {
-			t.Fatalf("trial %d presolved: %v", trial, err)
-		}
-		if pre.Status != Optimal {
-			t.Fatalf("trial %d presolved: status %v", trial, pre.Status)
-		}
-		checkPrimalFeasible(t, m, pre.X)
-		checkStrongDuality(t, m, pre)
-		if !testutil.Near(cold.Objective, pre.Objective, dualTol) {
-			t.Fatalf("trial %d: cold objective %v, presolved %v", trial, cold.Objective, pre.Objective)
-		}
-
 		// Warm path: tighten the program with an appended row and
 		// re-solve from the captured basis.
 		var terms []Term
 		for j := 0; j < m.NumVars(); j++ {
 			terms = append(terms, Term{Var: j, Coef: 1})
 		}
-		m.AddRow(LE, 0.25+0.5*sum(pre.X), terms...)
-		warm, err := m.SolveFrom(ws, pre.Basis)
+		m.AddRow(LE, 0.25+0.5*sum(cold.X), terms...)
+		warm, err := m.SolveFrom(ws, cold.Basis)
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
@@ -263,8 +245,17 @@ func TestPropertyMaxDualsColdWarmPresolved(t *testing.T) {
 	}
 }
 
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, v := range xs {
+		s += v
+	}
+	return s
+}
+
 // TestPathologicalStatuses pins the Infeasible/Unbounded verdicts on
-// hand-built degenerate programs.
+// hand-built degenerate programs; TestPresolveDetectsStatuses pins the
+// ones on emptied rows and columns.
 func TestPathologicalStatuses(t *testing.T) {
 	t.Run("contradictory equalities", func(t *testing.T) {
 		m := NewModel()

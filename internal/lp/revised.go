@@ -94,8 +94,6 @@ type WorkspaceStats struct {
 	Refactorizations int // mid-solve rebuilds: eta-file overflow or detected drift
 	Iterations       int // primal simplex pivots
 	DualIterations   int // dual simplex pivots
-	PresolveRows     int // constraint rows removed by presolve, cumulative
-	PresolveCols     int // columns removed by presolve, cumulative
 }
 
 // Workspace owns every scratch allocation of the revised simplex — the
@@ -156,9 +154,6 @@ type Workspace struct {
 	// Compilation scratch.
 	stamp []int32
 	slot  []int32
-
-	// Presolve arena (presolve.go), reused across solves.
-	ps psState
 
 	phase      int
 	improveEps float64

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 
 	"repro/internal/faultinject"
@@ -125,13 +124,8 @@ func whatifConfig(g *graph.Graph, req *WhatifRequest) (whatif.Config, error) {
 	if req.EdgeFactors == nil {
 		cfg.EdgeFactors = []float64{0}
 	}
-	for _, f := range cfg.EdgeFactors {
-		// Standard JSON cannot carry NaN/Inf, but whatifConfig is also a
-		// library path — reject them explicitly rather than panicking in
-		// SetEdgeCost mid-stream.
-		if f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
-			return cfg, badRequest("edge factor %v is not a finite non-negative number", f)
-		}
+	if err := whatif.CheckEdgeFactors(cfg.EdgeFactors); err != nil {
+		return cfg, badRequest("%v", err)
 	}
 	if req.FailNodes != nil {
 		cfg.FailNodes = make([]graph.NodeID, len(req.FailNodes))

@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/steady"
 	"repro/internal/whatif"
 )
@@ -137,6 +140,20 @@ func TestWhatifValidation(t *testing.T) {
 	for i, c := range cases {
 		if w := doJSON(t, s, http.MethodPost, "/v1/whatif", c.req); w.Code != c.want {
 			t.Errorf("case %d: got %d, want %d (%s)", i, w.Code, c.want, w.Body.String())
+		}
+	}
+	// JSON cannot carry NaN or Inf, but whatifConfig is also a library
+	// path: it rejects them as bad requests rather than panicking in
+	// SetEdgeCost mid-stream.
+	g, err := graph.Decode(strings.NewReader(diamondText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := whatifConfig(g, &WhatifRequest{EdgeFactors: f(v)})
+		var ae *apiError
+		if !errors.As(err, &ae) || ae.code != CodeBadRequest {
+			t.Errorf("factor %v: whatifConfig error %v, want bad_request", v, err)
 		}
 	}
 }

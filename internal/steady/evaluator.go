@@ -28,8 +28,7 @@ type SolveStats struct {
 	Refactors    int // mid-solve refactorisations (eta-file overflow or drift)
 	Rounds       int // cutting-plane / column-generation rounds
 	Cuts         int // cut rows generated by Multicast-LB separation
-	PresolveRows int // constraint rows removed by LP presolve
-	PresolveCols int // columns removed by LP presolve
+	PresolveRows int // always 0: the LP has no presolve; perfbench/main.go still reads it
 
 	// The tree fast path (DESIGN.md Section 12): bound evaluations
 	// answered combinatorially because the platform classified as a
@@ -56,8 +55,6 @@ func (s SolveStats) Delta(since SolveStats) SolveStats {
 		Refactors:      s.Refactors - since.Refactors,
 		Rounds:         s.Rounds - since.Rounds,
 		Cuts:           s.Cuts - since.Cuts,
-		PresolveRows:   s.PresolveRows - since.PresolveRows,
-		PresolveCols:   s.PresolveCols - since.PresolveCols,
 		FastPathHits:   s.FastPathHits - since.FastPathHits,
 		FastPathMisses: s.FastPathMisses - since.FastPathMisses,
 	}
@@ -71,14 +68,12 @@ func (s SolveStats) String() string {
 			"%d fast-path misses), %d LP solves "+
 			"(%d warm of %d attempted, %d cold), %d simplex iterations "+
 			"(%d dual cleanup), %d LU factorizations (%d mid-solve), "+
-			"%d cut/column rounds, %d cuts, "+
-			"presolve removed %d rows / %d cols",
+			"%d cut/column rounds, %d cuts",
 		s.Evaluations, s.CacheHits, s.FastPathHits, s.FastPathMisses,
 		s.Solves,
 		s.WarmSolves, s.WarmAttempts, s.ColdSolves,
 		s.Iterations+s.DualIters, s.DualIters,
-		s.Factorized, s.Refactors, s.Rounds, s.Cuts,
-		s.PresolveRows, s.PresolveCols)
+		s.Factorized, s.Refactors, s.Rounds, s.Cuts)
 }
 
 // Add folds o into s (for aggregating per-task stats).
@@ -95,8 +90,6 @@ func (s *SolveStats) Add(o SolveStats) {
 	s.Refactors += o.Refactors
 	s.Rounds += o.Rounds
 	s.Cuts += o.Cuts
-	s.PresolveRows += o.PresolveRows
-	s.PresolveCols += o.PresolveCols
 	s.FastPathHits += o.FastPathHits
 	s.FastPathMisses += o.FastPathMisses
 }
@@ -285,8 +278,6 @@ func (e *Evaluator) Stats() SolveStats {
 	s.DualIters = w.DualIterations
 	s.Factorized = w.Factorizations
 	s.Refactors = w.Refactorizations
-	s.PresolveRows = w.PresolveRows
-	s.PresolveCols = w.PresolveCols
 	return s
 }
 

@@ -38,7 +38,7 @@ func (e *Evaluator) multicastLBDirect(p Problem) (*Bound, error) {
 	for _, id := range edges {
 		nVar[id] = int32(m.AddVar(0, ""))
 	}
-	addPortRowsScaled(m, g, nVar, sc, scale)
+	addPortRows(m, g, nVar, sc, scale)
 	// Per-target flows of value rho, dominated by n. The x block of
 	// target t starts at xBase = 1 + |edges| + t*|edges| and follows
 	// active-edge rank order (sc.rank maps edge ID -> rank).

@@ -420,13 +420,7 @@ func (ms *msMaster) addColumn(di int, edges []int) {
 // records the solve in bound as one round, keeps the optimal basis and
 // returns the solution.
 func (ms *msMaster) solve(ws *lp.Workspace, bound *Bound) (*lp.Solution, error) {
-	var sol *lp.Solution
-	var err error
-	if ms.basis.Empty() {
-		sol, err = ms.m.SolveWith(ws)
-	} else {
-		sol, err = ms.m.SolveFrom(ws, ms.basis)
-	}
+	sol, err := ms.m.SolveFrom(ws, ms.basis)
 	if err != nil {
 		return nil, err
 	}

@@ -165,33 +165,6 @@ func (sc *scratch) growVarOf(n int) []int32 {
 	return sc.varOf
 }
 
-// addPortRows adds the normalised one-port occupation constraints
-// sum_{e in in(v)} c(e) x(e) <= 1 and the symmetric out-port rows for
-// every active node, where varOf maps edge IDs to LP variables.
-func addPortRows(m *lp.Model, g *graph.Graph, varOf []int32, sc *scratch) {
-	sc.nodes = g.AppendActiveNodes(sc.nodes[:0])
-	for _, v := range sc.nodes {
-		sc.buf = g.InEdges(v, sc.buf[:0])
-		if len(sc.buf) > 0 {
-			terms := sc.terms[:0]
-			for _, id := range sc.buf {
-				terms = append(terms, lp.Term{Var: int(varOf[id]), Coef: g.Edge(id).Cost})
-			}
-			m.AddRow(lp.LE, 1, terms...)
-			sc.terms = terms[:0]
-		}
-		sc.buf = g.OutEdges(v, sc.buf[:0])
-		if len(sc.buf) > 0 {
-			terms := sc.terms[:0]
-			for _, id := range sc.buf {
-				terms = append(terms, lp.Term{Var: int(varOf[id]), Coef: g.Edge(id).Cost})
-			}
-			m.AddRow(lp.LE, 1, terms...)
-			sc.terms = terms[:0]
-		}
-	}
-}
-
 // scatterUB solves the paper's Multicast-UB program on the LP (see
 // Evaluator.ScatterUB): the pessimistic relaxation in which the
 // messages bound for distinct targets are counted separately on every
@@ -241,7 +214,7 @@ func (e *Evaluator) scatterUB(p Problem) (*Bound, error) {
 		}
 		m.AddRow(lp.EQ, 0, terms...)
 	}
-	addPortRows(m, g, fVar, sc)
+	addPortRows(m, g, fVar, sc, 1)
 	sol, err := m.SolveWith(e.ws)
 	if err != nil {
 		return nil, err
@@ -331,7 +304,7 @@ func (e *Evaluator) multicastLBCuts(p Problem) (*Bound, error) {
 	for _, id := range edges {
 		nVar[id] = int32(master.AddVar(0, ""))
 	}
-	addPortRowsScaled(master, g, nVar, sc, scale)
+	addPortRows(master, g, nVar, sc, scale)
 
 	seen := make(map[string]bool)
 	ncuts := 0
@@ -401,13 +374,7 @@ func (e *Evaluator) multicastLBCuts(p Problem) (*Bound, error) {
 			direct.WarmSolves += bound.WarmSolves
 			return direct, nil
 		}
-		var sol *lp.Solution
-		var err error
-		if basis.Empty() {
-			sol, err = master.SolveWith(e.ws)
-		} else {
-			sol, err = master.SolveFrom(e.ws, basis)
-		}
+		sol, err := master.SolveFrom(e.ws, basis)
 		if err != nil {
 			return nil, err
 		}
@@ -454,9 +421,12 @@ func (e *Evaluator) multicastLBCuts(p Problem) (*Bound, error) {
 	}
 }
 
-// addPortRowsScaled is addPortRows with every coefficient divided by
-// scale (the cut master normalises edge costs for conditioning).
-func addPortRowsScaled(m *lp.Model, g *graph.Graph, varOf []int32, sc *scratch, scale float64) {
+// addPortRows adds the normalised one-port occupation constraints
+// sum_{e in in(v)} c(e)/scale x(e) <= 1 and the symmetric out-port rows
+// for every active node, where varOf maps edge IDs to LP variables. The
+// cut master and the direct form divide edge costs by scale for
+// conditioning; scatterUB passes 1, which leaves every cost exact.
+func addPortRows(m *lp.Model, g *graph.Graph, varOf []int32, sc *scratch, scale float64) {
 	sc.nodes = g.AppendActiveNodes(sc.nodes[:0])
 	for _, v := range sc.nodes {
 		for _, in := range []bool{true, false} {

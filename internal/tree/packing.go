@@ -156,13 +156,7 @@ func (pm *packMaster) addColumn(t *Tree) {
 // returns the objective, the tree rates, and the duals alpha (receive
 // rows) and beta (send rows) indexed by node.
 func (pm *packMaster) solve(ws *lp.Workspace, basis *lp.Basis) (float64, []float64, []float64, []float64, error) {
-	var sol *lp.Solution
-	var err error
-	if basis.Empty() {
-		sol, err = pm.m.SolveWith(ws)
-	} else {
-		sol, err = pm.m.SolveFrom(ws, *basis)
-	}
+	sol, err := pm.m.SolveFrom(ws, *basis)
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}

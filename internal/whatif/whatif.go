@@ -496,11 +496,8 @@ type Report struct {
 // scenario fan-out (Stream), and the criticality rankings.
 // The report is deterministic for any Config.Workers.
 func Analyze(p steady.Problem, cfg Config) (*Report, error) {
-	for _, f := range cfg.EdgeFactors {
-		// Guard here rather than panicking in SetEdgeCost mid-fan-out.
-		if f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
-			return nil, fmt.Errorf("whatif: edge factor %v is not a finite non-negative number", f)
-		}
+	if err := CheckEdgeFactors(cfg.EdgeFactors); err != nil {
+		return nil, fmt.Errorf("whatif: %w", err)
 	}
 	ev := steady.NewEvaluator()
 	base, err := NewBaseline(ev, p)
@@ -514,6 +511,18 @@ func Analyze(p steady.Problem, cfg Config) (*Report, error) {
 	rep.ScenarioStats = stats
 	rep.FastPathScenarios = fast
 	return rep, nil
+}
+
+// CheckEdgeFactors rejects any edge factor that is not a finite
+// non-negative number. Callers check a configuration up front rather
+// than let SetEdgeCost panic mid-fan-out.
+func CheckEdgeFactors(factors []float64) error {
+	for _, f := range factors {
+		if f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
+			return fmt.Errorf("edge factor %v is not a finite non-negative number", f)
+		}
+	}
+	return nil
 }
 
 // Run evaluates the scenarios against the baseline on cfg.Workers

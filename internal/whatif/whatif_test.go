@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -156,6 +157,23 @@ func TestAnalyzeRelay(t *testing.T) {
 		if math.Abs(r.Delta-(r.Throughput-baseThr)) > 1e-12 {
 			t.Errorf("promotion delta of %v inconsistent: %+v (baseline %v)", n, r, baseThr)
 		}
+	}
+}
+
+// TestAnalyzeRejectsBadEdgeFactors: a negative, infinite or NaN edge
+// factor fails Analyze up front with the factor named, before any
+// solve; zero (a link failure) and finite factors pass the check.
+func TestAnalyzeRejectsBadEdgeFactors(t *testing.T) {
+	p, _, _ := relayProblem(t)
+	for _, f := range []float64{-1, math.Inf(1), math.NaN()} {
+		cfg := DefaultConfig()
+		cfg.EdgeFactors = []float64{0, f}
+		if _, err := Analyze(p, cfg); err == nil || !strings.Contains(err.Error(), "edge factor") {
+			t.Errorf("factor %v: Analyze error %v, want an edge factor error", f, err)
+		}
+	}
+	if err := CheckEdgeFactors([]float64{0, 0.5, 4}); err != nil {
+		t.Errorf("CheckEdgeFactors(0, 0.5, 4) = %v, want nil", err)
 	}
 }
 
